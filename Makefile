@@ -47,11 +47,9 @@ quick-bench:
 # allocations/event over the ceiling; flat-vs-boxed schedules not
 # byte-identical), if the pool gates fail (width-1 overhead > 2x; on
 # >=4-core hosts, 4 domains < 2x over sequential; any
-# non-byte-identical output), if the sharded driver diverges from the
-# flat core at any S in {1,2,4} or (on >=4-core hosts) S=4 falls below
-# 2x over S=1, if a streamed session diverges from the batch run or
-# the rolling-retirement stream breaches its resident-memory gates,
-# or any test regresses.
+# non-byte-identical output), if a streamed session diverges from the
+# batch run or the rolling-retirement stream breaches its
+# resident-memory gates, or any test regresses.
 bench-check:
 	dune build @all
 	dune runtest

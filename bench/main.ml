@@ -21,11 +21,7 @@
    sequential-vs-parallel scaling, runs the experiment suite on domain
    pools of increasing width (checking byte-identical tables and
    telemetry at every width and recording the speedup curve), exercises
-   the sharded within-run driver (canonical-schedule byte-identity at
-   S in {1,2,4} over the fuzz corpus x every registry policy, sharded
-   vs sequential throughput on a cluster-shaped workload, and a
-   memory-gated cluster-scale point at n=10^6 x m=10^3), exercises the
-   streaming session engine behind `rejsched serve` (stream-vs-batch
+   the streaming session engine behind `rejsched serve` (stream-vs-batch
    canonical-schedule byte-identity over the fuzz corpus, session
    overhead versus the batch entry point, and a resident-memory gate on
    an n=10^6 rolling-retirement stream against the identical
@@ -38,8 +34,7 @@
    width-1 pool costs more than 2x sequential, if the retirement
    stream's peak live words per job breach their ceiling or fail to
    undercut the keep-everything stream, or — on hosts with at
-   least 4 cores — if 4 domains fail to reach 2x over sequential or the
-   sharded run at S=4 fails to reach 2x over S=1.
+   least 4 cores — if 4 domains fail to reach 2x over sequential.
 
    Run with: dune exec bench/main.exe
    (set REJSCHED_QUICK=1 for a fast smoke run) *)
@@ -293,26 +288,6 @@ let scan_json_field ~key content =
       in
       let fin = stop start in
       if fin > start then Some (String.sub content start (fin - start)) else None
-
-(* MemAvailable from /proc/meminfo in GiB, 0 when unreadable.  Gates the
-   cluster-scale sharded point: its instance alone carries n*m = 10^9
-   processing times (~8 GiB) and the flat core mirrors per-(machine,job)
-   columns of the same extent, so the point needs ~25-30 GiB to run
-   without thrashing. *)
-let mem_available_gib () =
-  match In_channel.with_open_text "/proc/meminfo" In_channel.input_all with
-  | exception _ -> 0.
-  | content ->
-      List.fold_left
-        (fun acc line ->
-          match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-          | [ "MemAvailable:"; kb; "kB" ] -> (
-              match float_of_string_opt kb with
-              | Some v -> v /. (1024. *. 1024.)
-              | None -> acc)
-          | _ -> acc)
-        0.
-        (String.split_on_char '\n' content)
 
 let run_regression out_path =
   let module PR = Sched_experiments.Policy_registry in
@@ -665,130 +640,6 @@ let run_regression out_path =
       widths
   in
 
-  (* 3f: the sharded within-run driver — the PR-9 tentpole.  Three parts.
-
-     (a) Unobservability smoke: every fuzz-corpus case under every
-         registry policy must reproduce the flat core's canonical
-         schedule at S in {1, 2, 4}.  The full differential (bit-equal
-         metrics, recorder rings, oracle on both sides, pooled phase 1)
-         lives in test_shard_differential.ml; the bench repeats the
-         schedule-identity core so a perf-motivated edit cannot ship a
-         divergence past `make bench-check` either.
-
-     (b) Sharded throughput on a cluster-shaped workload — wide (many
-         machines), so the per-arrival phase-1 cost scan is the bulk of
-         the work and sharding has something to parallelize.  S=4 on a
-         4-domain pool against S=1 (no pool, pure sequential tick).
-         The >= 2x gate below only applies on hosts with >= 4
-         recommended domains; elsewhere the figure is recorded.
-
-     (c) The cluster-scale point (n=10^6, m=10^3): the E15 regime at
-         full size.  Memory-gated on MemAvailable and skipped in quick
-         mode; S-identity at this scale is not re-proven (it would
-         double a multi-minute run) — it is the same code path part (a)
-         just proved exhaustively at every shard boundary shape. *)
-  let shard_counts = [ 1; 2; 4 ] in
-  let shard_cases = ref 0 in
-  List.iter
-    (fun (c : Sched_fuzz.Corpus.case) ->
-      let s_inst = c.Sched_fuzz.Corpus.instance in
-      let check = not (Sched_model.Instance.has_deadlines s_inst) in
-      List.iter
-        (fun (e : PR.entry) ->
-          let reference =
-            Sched_model.Serialize.schedule_to_canonical_string
-              (fst (e.PR.run_impl ~impl:D.Flat ~check s_inst))
-          in
-          List.iter
-            (fun s ->
-              incr shard_cases;
-              let sch, _ = e.PR.run_sharded ~check ~shards:s s_inst in
-              if Sched_model.Serialize.schedule_to_canonical_string sch <> reference then begin
-                Printf.eprintf "FAIL: sharded %s diverges from the flat core on %s at shards=%d\n%!"
-                  e.PR.name c.Sched_fuzz.Corpus.name s;
-                exit 1
-              end)
-            shard_counts)
-        PR.all)
-    (Sched_fuzz.Corpus.seeds ());
-  Printf.printf
-    "  sharded byte-identity: %d corpus x policy x S runs identical to the flat core\n%!"
-    !shard_cases;
-  let cl_n = if quick then 4_000 else 40_000 and cl_m = if quick then 64 else 512 in
-  let cl_inst =
-    Sched_workload.Gen.instance (Sched_workload.Suite.flow_uniform ~n:cl_n ~m:cl_m) ~seed:11
-  in
-  let fr_sh = Option.get (PR.find "flow-reject") in
-  let shard_reps = if quick then 1 else 2 in
-  let s_cl1, _ = fr_sh.PR.run_sharded ~check:false ~shards:1 cl_inst in
-  let cl_events = count_events s_cl1 in
-  let c_cl1 = Sched_model.Serialize.schedule_to_canonical_string s_cl1 in
-  let t_s1 =
-    best_of shard_reps (fun () -> ignore (fr_sh.PR.run_sharded ~check:false ~shards:1 cl_inst))
-  in
-  let gc_s1 = gc_of (fun () -> ignore (fr_sh.PR.run_sharded ~check:false ~shards:1 cl_inst)) in
-  let t_s4, gc_s4 =
-    Sched_stats.Pool.with_pool ~domains:4 (fun pool ->
-        let s_cl4, _ = fr_sh.PR.run_sharded ~pool ~check:false ~shards:4 cl_inst in
-        if Sched_model.Serialize.schedule_to_canonical_string s_cl4 <> c_cl1 then begin
-          Printf.eprintf "FAIL: cluster workload diverges at shards=4 on a 4-domain pool\n%!";
-          exit 1
-        end;
-        let t =
-          best_of shard_reps (fun () ->
-              ignore (fr_sh.PR.run_sharded ~pool ~check:false ~shards:4 cl_inst))
-        in
-        let gc =
-          gc_of (fun () -> ignore (fr_sh.PR.run_sharded ~pool ~check:false ~shards:4 cl_inst))
-        in
-        (t, gc))
-  in
-  let shard_speedup = t_s1 /. t_s4 in
-  Printf.printf
-    "  sharded cluster workload (flow-reject, n=%d m=%d): S=1 %.0f ev/s, S=4 on 4 domains %.0f \
-     ev/s, speedup %.2fx\n\
-     %!"
-    cl_n cl_m
-    (float_of_int cl_events /. t_s1)
-    (float_of_int cl_events /. t_s4)
-    shard_speedup;
-  let cluster_mem_need_gib = 34. in
-  let mem_gib = mem_available_gib () in
-  let cluster_point =
-    if quick then Error "quick mode"
-    else if mem_gib < cluster_mem_need_gib then
-      Error (Printf.sprintf "MemAvailable %.1f GiB < %.0f GiB" mem_gib cluster_mem_need_gib)
-    else begin
-      let cn = 1_000_000 and cm = 1_000 in
-      Printf.printf "  cluster-scale point: generating n=%d m=%d (MemAvailable %.0f GiB)...\n%!"
-        cn cm mem_gib;
-      let big_inst, t_gen =
-        time_wall (fun () ->
-            Sched_workload.Gen.instance (Sched_workload.Suite.flow_uniform ~n:cn ~m:cm) ~seed:11)
-      in
-      let lb = (Sched_baselines.Lower_bounds.volume big_inst).Sched_baselines.Lower_bounds.value in
-      let pool_domains = min 4 recommended in
-      let (big_sched, big_live), t_big, gc_big =
-        Sched_stats.Pool.with_pool ~domains:pool_domains (fun pool ->
-            time_gc (fun () -> fr_sh.PR.run_sharded ~pool ~check:false ~shards:4 big_inst))
-      in
-      let big_events = count_events big_sched in
-      let ratio = big_live.D.flow.Sched_model.Metrics.total_with_rejected /. lb in
-      let rej_pct = 100. *. big_live.D.rejection.Sched_model.Metrics.fraction in
-      Printf.printf
-        "  cluster-scale point: gen %.1f s, run %.1f s (%.0f ev/s, %d domains), ratio %.3f, \
-         rejected %.1f%%\n\
-         %!"
-        t_gen t_big
-        (float_of_int big_events /. t_big)
-        pool_domains ratio rej_pct;
-      Ok (cn, cm, t_gen, t_big, gc_big, big_events, ratio, rej_pct, pool_domains)
-    end
-  in
-  (match cluster_point with
-  | Ok _ -> ()
-  | Error reason -> Printf.printf "  cluster-scale point skipped: %s\n%!" reason);
-
   (* 3g: the streaming session engine behind `rejsched serve` — the
      PR-10 tentpole.  Three parts.
 
@@ -1092,44 +943,8 @@ let run_regression out_path =
     "    \"regression_note\": \"BENCH_pr6.json recorded domains_4 at 496278 ev/s vs 1085708 ev/s \
      sequential on this suite.  The gc fields (submitting-domain Gc.quick_stat deltas) attribute \
      the within-run gap to per-seed tasks too small to amortize submission while every extra \
-     domain multiplies minor-heap pressure — not to slower code.  The sharded section \
-     parallelizes inside one run instead of across seeds, which is the fix for this regime.\",\n";
+     domain multiplies minor-heap pressure — not to slower code.\",\n";
   Printf.bprintf buf "    \"byte_identical\": true\n  },\n";
-  Printf.bprintf buf "  \"sharded\": {\n";
-  Printf.bprintf buf "    \"identity_runs\": %d,\n" !shard_cases;
-  Printf.bprintf buf "    \"shard_counts\": \"%s\",\n"
-    (String.concat "," (List.map string_of_int shard_counts));
-  Printf.bprintf buf "    \"byte_identical\": true,\n";
-  Printf.bprintf buf "    \"cluster\": {\n";
-  Printf.bprintf buf "      \"policy\": \"flow-reject\",\n";
-  Printf.bprintf buf "      \"n\": %d,\n      \"m\": %d,\n      \"events\": %d,\n" cl_n cl_m
-    cl_events;
-  Printf.bprintf buf "      \"seq_seconds\": %.6f,\n" t_s1;
-  Printf.bprintf buf "      \"seq_events_per_sec\": %.1f,\n" (float_of_int cl_events /. t_s1);
-  bprintf_gc buf ~indent:"      " ~key:"seq_gc" gc_s1;
-  Printf.bprintf buf "      \"s4_seconds\": %.6f,\n" t_s4;
-  Printf.bprintf buf "      \"s4_events_per_sec\": %.1f,\n" (float_of_int cl_events /. t_s4);
-  bprintf_gc buf ~indent:"      " ~key:"s4_gc" gc_s4;
-  Printf.bprintf buf "      \"speedup\": %.3f,\n" shard_speedup;
-  Printf.bprintf buf "      \"speedup_gate\": 2.0,\n";
-  Printf.bprintf buf "      \"gated\": %b\n    },\n" (recommended >= 4);
-  (match cluster_point with
-  | Error reason ->
-      Printf.bprintf buf
-        "    \"cluster_scale_point\": { \"skipped\": true, \"reason\": \"%s\" }\n" reason
-  | Ok (cn, cm, t_gen, t_big, gc_big, big_events, ratio, rej_pct, pool_domains) ->
-      Printf.bprintf buf "    \"cluster_scale_point\": {\n";
-      Printf.bprintf buf "      \"policy\": \"flow-reject\",\n";
-      Printf.bprintf buf "      \"n\": %d,\n      \"m\": %d,\n      \"shards\": 4,\n" cn cm;
-      Printf.bprintf buf "      \"pool_domains\": %d,\n" pool_domains;
-      Printf.bprintf buf "      \"gen_seconds\": %.3f,\n" t_gen;
-      Printf.bprintf buf "      \"run_seconds\": %.3f,\n" t_big;
-      Printf.bprintf buf "      \"events\": %d,\n" big_events;
-      Printf.bprintf buf "      \"events_per_sec\": %.1f,\n" (float_of_int big_events /. t_big);
-      bprintf_gc buf ~indent:"      " ~key:"gc" gc_big;
-      Printf.bprintf buf "      \"ratio_vs_volume_lb\": %.4f,\n" ratio;
-      Printf.bprintf buf "      \"rejected_pct\": %.2f\n    }\n" rej_pct);
-  Printf.bprintf buf "  },\n";
   Printf.bprintf buf "  \"streaming\": {\n";
   Printf.bprintf buf "    \"identity_runs\": %d,\n" !stream_cases;
   Printf.bprintf buf "    \"chunk_sizes\": \"1,7\",\n";
@@ -1272,34 +1087,6 @@ let run_regression out_path =
   Printf.printf "  PASS: width-1 pool overhead %.2fx <= 2x sequential; tables and telemetry \
                  byte-identical at every width\n%!"
     (t_pool1 /. t_suite_seq);
-  (* Sharded gate: within-run sharding at S=4 on a 4-domain pool must
-     halve the sequential tick's wall time on the cluster-shaped
-     workload — but only where 4 cores exist to halve it with.  On
-     narrower hosts (this includes single-core CI runners, where the
-     4-domain pool is pure oversubscription) the measured figure is
-     recorded in the JSON and the gate reports itself skipped.
-     Byte-identity at every S was already enforced above, fail-fast. *)
-  if recommended >= 4 then
-    if shard_speedup < 2.0 then begin
-      Printf.eprintf "FAIL: sharded S=4 speedup %.2fx is below the 2x gate (%.0f ev/s vs %.0f \
-                      ev/s sequential)\n\
-                      %!"
-        shard_speedup
-        (float_of_int cl_events /. t_s4)
-        (float_of_int cl_events /. t_s1);
-      exit 1
-    end
-    else
-      Printf.printf "  PASS: sharded S=4 speedup %.1fx >= 2x gate (%d identity runs byte-identical)\n%!"
-        shard_speedup !shard_cases
-  else
-    Printf.printf
-      "  (sharded 2x gate skipped: host has %d recommended domain%s; measured %.2fx, %d identity \
-       runs byte-identical)\n\
-       %!"
-      recommended
-      (if recommended = 1 then "" else "s")
-      shard_speedup !shard_cases;
   (* Streaming gates.  Byte-identity and metric-identity were enforced
      fail-fast above; here the resident-memory claim: the retire-mode
      stream's peak live words per fed job must stay under an absolute

@@ -63,17 +63,6 @@ let apply_domains = function
       if d < 1 then invalid_arg (Printf.sprintf "--domains must be >= 1 (got %d)" d);
       Sched_stats.Pool.set_default_domains d
 
-let shards_arg =
-  Arg.(value & opt (some int) None
-       & info [ "shards" ] ~docv:"S"
-           ~doc:"Run the sharded within-run driver with S machine shards (deterministic \
-                 two-phase tick; schedules and metrics are byte-identical for every S).  \
-                 Phase-1 dispatch proposals run on the domain pool when S > 1; see --domains.")
-
-let validate_shards = function
-  | Some s when s < 1 -> invalid_arg (Printf.sprintf "--shards must be >= 1 (got %d)" s)
-  | v -> v
-
 let impl_arg =
   Arg.(
     value
@@ -162,9 +151,8 @@ let run_cmd =
                    schema-tagged object per event), or to stdout when FILE is '-'.")
   in
   let action policy workload n m seed eps csv gantt svg load swf save segments sizes telemetry
-      trace_ndjson domains shards impl =
+      trace_ndjson domains impl =
     apply_domains domains;
-    let shards = validate_shards shards in
     apply_impl impl;
     let gen = apply_sizes (workload_of_name ~n ~m workload) sizes in
     let inst =
@@ -189,41 +177,19 @@ let run_cmd =
     let module FR = Rejection.Flow_reject in
     let module GD = Sched_baselines.Greedy_dispatch in
     let schedule =
-      match shards with
-      | None -> (
-          match policy with
-          | "thm1" -> fst (FR.run ?trace ?obs (FR.config ~eps ()) inst)
-          | "thm1-rule1" -> fst (FR.run ?trace ?obs (FR.config ~eps ~rule2:false ()) inst)
-          | "thm1-rule2" -> fst (FR.run ?trace ?obs (FR.config ~eps ~rule1:false ()) inst)
-          | "fifo" -> Sched_sim.Driver.run_schedule ?trace ?obs GD.fifo inst
-          | "spt" -> Sched_sim.Driver.run_schedule ?trace ?obs GD.spt inst
-          | "immediate" ->
-              Sched_sim.Driver.run_schedule ?trace ?obs
-                (Sched_baselines.Immediate_reject.policy ~eps
-                   (Sched_baselines.Immediate_reject.Largest_over 2.))
-                inst
-          | "esa" -> Sched_baselines.Speed_augmented.run ?trace ?obs ~eps_s:0.5 ~eps_r:eps inst
-          | other -> invalid_arg (Printf.sprintf "unknown policy %S" other))
-      | Some s -> (
-          let sharded ?hooks p =
-            let sch, _, _ =
-              Sched_sim.Driver.run_sharded ?trace ?obs ?hooks
-                ~pool:(Sched_stats.Pool.default ()) ~shards:s p inst
-            in
-            sch
-          in
-          match policy with
-          | "thm1" -> sharded ~hooks:FR.hooks (FR.policy (FR.config ~eps ()))
-          | "thm1-rule1" -> sharded ~hooks:FR.hooks (FR.policy (FR.config ~eps ~rule2:false ()))
-          | "thm1-rule2" -> sharded ~hooks:FR.hooks (FR.policy (FR.config ~eps ~rule1:false ()))
-          | "fifo" -> sharded ~hooks:GD.hooks GD.fifo
-          | "spt" -> sharded ~hooks:GD.hooks GD.spt
-          | "immediate" ->
-              sharded
-                (Sched_baselines.Immediate_reject.policy ~eps
-                   (Sched_baselines.Immediate_reject.Largest_over 2.))
-          | "esa" -> invalid_arg "--shards is not supported with policy \"esa\" (custom runner)"
-          | other -> invalid_arg (Printf.sprintf "unknown policy %S" other))
+      match policy with
+      | "thm1" -> fst (FR.run ?trace ?obs (FR.config ~eps ()) inst)
+      | "thm1-rule1" -> fst (FR.run ?trace ?obs (FR.config ~eps ~rule2:false ()) inst)
+      | "thm1-rule2" -> fst (FR.run ?trace ?obs (FR.config ~eps ~rule1:false ()) inst)
+      | "fifo" -> Sched_sim.Driver.run_schedule ?trace ?obs GD.fifo inst
+      | "spt" -> Sched_sim.Driver.run_schedule ?trace ?obs GD.spt inst
+      | "immediate" ->
+          Sched_sim.Driver.run_schedule ?trace ?obs
+            (Sched_baselines.Immediate_reject.policy ~eps
+               (Sched_baselines.Immediate_reject.Largest_over 2.))
+            inst
+      | "esa" -> Sched_baselines.Speed_augmented.run ?trace ?obs ~eps_s:0.5 ~eps_r:eps inst
+      | other -> invalid_arg (Printf.sprintf "unknown policy %S" other)
     in
     (match (telemetry, obs) with
     | Some target, Some o -> write_output target (Sched_obs.Export.json (Sched_obs.Obs.registry o))
@@ -270,7 +236,7 @@ let run_cmd =
     Term.(
       const action $ policy_arg $ workload_arg $ n_arg $ m_arg $ seed_arg $ eps_arg $ csv_arg
       $ gantt_arg $ svg_arg $ load_arg $ swf_arg $ save_arg $ segments_arg $ sizes_arg
-      $ telemetry_arg $ trace_ndjson_arg $ domains_arg $ shards_arg $ impl_arg)
+      $ telemetry_arg $ trace_ndjson_arg $ domains_arg $ impl_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one policy on one synthetic workload and print its metrics.") term
 

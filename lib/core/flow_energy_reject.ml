@@ -94,7 +94,8 @@ let ensure st id =
   end
 
 (* The sequential tail of [on_arrival]: fix the dual variable and apply
-   the weighted Rule 1; shared with the sharded resolve below. *)
+   the weighted Rule 1, kept apart from the argmin so a dispatch kernel
+   can reuse the split. *)
 let commit st view (j : Job.t) ~target ~best =
   ensure st j.id;
   st.lambda.(j.id) <- st.cfg.eps /. (1. +. st.cfg.eps) *. best;
@@ -115,17 +116,6 @@ let on_arrival st view (j : Job.t) =
     argmin_machine st.instance j (fun i -> lambda_ij st i j (Driver.pending view i))
   in
   commit st view j ~target ~best
-
-(* Two-phase split for the sharded driver: the cost materializes the
-   machine's pending list ([Driver.pending] reads only the primary SPT
-   order, no lazy wakes) and evaluates the energy-aware lambda; the
-   resolve uses the argmin score as the dual variable and replays the
-   rule tail sequentially. *)
-let hooks =
-  {
-    Driver.shard_cost = (fun st view i j -> lambda_ij st i j (Driver.pending view i));
-    shard_resolve = (fun st view j ~target ~score -> commit st view j ~target ~best:score);
-  }
 
 let select st view i =
   match Driver.pending_densest view i with

@@ -102,9 +102,8 @@ let ensure st id =
   end
 
 (* The sequential tail of [on_arrival]: fix the dual variable and apply
-   the rejection rules, given the argmin machine and its lambda.  Shared
-   verbatim between the plain entry point and the sharded resolve so the
-   two cannot drift. *)
+   the rejection rules, given the argmin machine and its lambda.  Kept
+   apart from the argmin so a dispatch kernel can reuse the split. *)
 let commit st view (j : Job.t) ~target ~best_lambda =
   ensure st j.id;
   let eps = st.eps_eff in
@@ -142,30 +141,6 @@ let on_arrival st view (j : Job.t) =
         (i, snd (argmin_machine st.instance j (fun i -> lambda_ij eps view i j)))
   in
   commit st view j ~target ~best_lambda
-
-(* Two-phase split for the sharded driver.  The cost is the dispatch
-   metric of the configured rule — pure reads of the primary pending
-   order ([pending_iter] / the load accessors), so it is safe to
-   evaluate from parallel shard proposers.  The resolve receives the
-   leftmost strict argmin and replays [on_arrival]'s tail; under
-   [Greedy_load] the dual variable still comes from the lambda argmin,
-   which the resolve recomputes sequentially (it is instrumentation,
-   not dispatch, so it stays out of the parallel phase). *)
-let shard_cost st view i (j : Job.t) =
-  match st.cfg.dispatch with
-  | Dual_lambda -> lambda_ij st.eps_eff view i j
-  | Greedy_load -> greedy_load_cost view i j
-
-let shard_resolve st view (j : Job.t) ~target ~score =
-  let best_lambda =
-    match st.cfg.dispatch with
-    | Dual_lambda -> score
-    | Greedy_load ->
-        snd (argmin_machine st.instance j (fun i -> lambda_ij st.eps_eff view i j))
-  in
-  commit st view j ~target ~best_lambda
-
-let hooks = { Driver.shard_cost; shard_resolve }
 
 let select st view i =
   match Driver.pending_shortest view i with

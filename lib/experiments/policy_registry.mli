@@ -44,19 +44,6 @@ type entry = {
           audit togglable and an optional flight recorder attached — the
           hook the flat-vs-boxed differential suite drives every entry
           through, and the replay path forensics capture rides on. *)
-  run_sharded :
-    ?recorder:Sched_obs.Recorder.t ->
-    ?pool:Sched_stats.Pool.t ->
-    check:bool ->
-    shards:int ->
-    Instance.t ->
-    Schedule.t * Driver.live_metrics;
-      (** {!Sched_sim.Driver.run_sharded} with the entry's two-phase
-          hooks wired in where the policy exports them (the flow/greedy
-          families); entries without hooks still run sharded, with
-          [on_arrival] evaluated sequentially in phase 2.  Bit-identical
-          to [run_impl ~impl:Flat] at every shard count — the shard
-          differential suite pins S in [{1,2,4}]. *)
   open_stream :
     ?trace:Trace.t ->
     ?obs:Sched_obs.Obs.t ->

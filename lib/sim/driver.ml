@@ -354,7 +354,8 @@ type event = Arrival of Job.t | Finish of Machine.id * int
 (* Event ordering at equal times: completions before arrivals, so that a
    policy dispatching at time t sees machines that just finished as idle;
    within a kind, insertion sequence (deterministic).  The flat core
-   encodes the same tags through [Pqueue.Events.Key]. *)
+   realizes the same order by merging a release-ordered arrival cursor
+   with its completion heap ([Flat_state.next_event_before]). *)
 let tag_finish seq = seq
 let tag_arrival seq = (1 lsl 40) + seq
 
@@ -781,16 +782,10 @@ let run_boxed ?trace ?obs ?recorder ?(check = false) policy instance =
 let c_flat_minor_words_name = "sched_flat_loop_minor_words_total"
 let c_flat_events_name = "sched_flat_loop_events_total"
 
-(* The flat core's per-event handlers, shared between [run_flat] and
-   [run_sharded].  Everything is closed over one simulation's state;
-   [push_finish i finish] abstracts the completion-event sink —
-   [run_flat] pushes into the [Flat_state] queue, the sharded driver
-   routes the event to the owning shard's heap (drawing tags from the
-   same global sequence, so the merged pop order is unchanged).  Every
-   mutation below happens on the submitting domain, in exactly the order
-   [run_boxed] performs it; byte-identity across all entry points is
-   pinned by the differential suites. *)
-let make_flat_handlers ?trace ?recorder ~instr ~push_finish fs policy pstate vw =
+(* The flat core's per-event handlers, closed over one simulation's
+   state.  Every mutation below happens in exactly the order [run_boxed]
+   performs it; byte-identity is pinned by the differential suites. *)
+let make_flat_handlers ?trace ?recorder ~instr fs policy pstate vw =
   let m = Flat_state.m fs in
   let lay_segment ~job ~machine ~start ~stop ~speed =
     match instr with
@@ -959,7 +954,7 @@ let make_flat_handlers ?trace ?recorder ~instr ~push_finish fs policy pstate vw 
           | Some ins ->
               Sched_obs.Metric.Counter.inc ins.c_start;
               Sched_obs.Metric.Gauge.dec ins.g_pending.(i));
-          push_finish i finish
+          Flat_state.push_finish fs ~machine:i ~time:finish
     end
   in
   let[@rejlint.hot] commit_arrival (j : Job.t) decision =
@@ -1061,17 +1056,16 @@ let make_flat_handlers ?trace ?recorder ~instr ~push_finish fs policy pstate vw 
    the batch path is literally a replay of the session path and every
    batch differential gate also pins this machinery.
 
-   Why streaming is byte-identical to batch: arrival tags carry a high
-   kind bit ([Pqueue.Events.Key.arrival_bit]), so cross-kind ordering at
-   equal keys never consults the sequence number; within a kind, the
-   relative tag order matches the batch run's (arrivals are fed in
-   [(release, id)] order — [seed_arrivals]'s order, enforced by [feed] —
-   and completions are scheduled in identical pop order, inductively).
-   The feed contract — a job's arrival must enter the queue before any
-   drain passes its release, enforced by the drained-horizon check — is
-   therefore exactly the condition under which the pop sequence, and
-   hence schedule, trace, recorder ring and live metrics, coincide with
-   the uninterrupted batch run's, byte for byte. *)
+   Why streaming is byte-identical to batch: at equal keys a completion
+   always pops before an arrival, so cross-kind ordering never consults
+   the sequence number; arrivals pop in feed order, which [feed] pins to
+   [(release, id)] — the batch run's order — and completions are
+   scheduled in identical pop order, inductively.  The feed contract — a
+   job's arrival must reach the cursor before any drain passes its
+   release, enforced by the drained-horizon check — is therefore exactly
+   the condition under which the pop sequence, and hence schedule,
+   trace, recorder ring and live metrics, coincide with the
+   uninterrupted batch run's, byte for byte. *)
 
 type 'a session = {
   ss_policy : 'a policy;
@@ -1136,9 +1130,8 @@ let session_make ?trace ?obs ?recorder ~check ~retire ~batch ~name ~machines pol
   let vw = V_flat fs in
   let instr = match obs with None -> None | Some o -> Some (make_instr o (Array.length machines)) in
   let pstate = policy.init (match batch with Some i -> i | None -> Flat_state.instance fs) in
-  let push_finish i finish = Flat_state.push_finish fs ~machine:i ~time:finish in
   let commit_arrival, commit_finish =
-    make_flat_handlers ?trace ?recorder ~instr ~push_finish fs policy pstate vw
+    make_flat_handlers ?trace ?recorder ~instr fs policy pstate vw
   in
   {
     ss_policy = policy;
@@ -1200,11 +1193,9 @@ let session_drain s ~limit =
   in
   let[@rejlint.hot] rec loop () =
     if pop () then begin
-      Flat_state.set_clock fs (Float.max (Flat_state.clock fs) (Flat_state.ev_time fs));
-      let tag = Flat_state.ev_tag fs in
-      (if Pqueue.Events.Key.is_arrival ~tag then begin
-         let id = Flat_state.ev_payload fs in
-         let j = Flat_state.job fs id in
+      let payload = Flat_state.ev_payload fs in
+      (if Flat_state.ev_is_arrival fs then begin
+         let j = Flat_state.job fs payload in
          let decision =
            match instr with
            | None -> policy.on_arrival pstate vw j
@@ -1214,12 +1205,10 @@ let session_drain s ~limit =
          in
          commit_arrival j decision
        end
-       else begin
-         let payload = Flat_state.ev_payload fs in
+       else
          commit_finish
            (Pqueue.Events.Key.machine_of ~payload)
-           (Pqueue.Events.Key.epoch_of ~payload)
-       end);
+           (Pqueue.Events.Key.epoch_of ~payload));
       loop ()
     end
   in
@@ -1314,10 +1303,8 @@ let session_thaw ?obs policy payload =
   let fs = z.z_fs in
   let vw = V_flat fs in
   let instr = match obs with None -> None | Some o -> Some (make_instr o (Flat_state.m fs)) in
-  let push_finish i finish = Flat_state.push_finish fs ~machine:i ~time:finish in
   let commit_arrival, commit_finish =
-    make_flat_handlers ?trace:z.z_trace ?recorder:z.z_recorder ~instr ~push_finish fs policy
-      z.z_pstate vw
+    make_flat_handlers ?trace:z.z_trace ?recorder:z.z_recorder ~instr fs policy z.z_pstate vw
   in
   {
     ss_policy = policy;
@@ -1379,235 +1366,6 @@ let run_flat ?trace ?obs ?recorder ?(check = false) policy instance =
   match session_close s with
   | Some schedule, pstate, vw -> (schedule, pstate, vw)
   | None, _, _ -> assert false
-
-(* ------------------------------------------------------------------ *)
-(* The sharded core: one run, S machine shards, a deterministic two-phase
-   tick.
-
-   Shard s owns the contiguous machine range [lo.(s), lo.(s+1)) and its
-   own [Pqueue.Events] heap of completion events for those machines.
-   Each event is processed in two phases:
-
-   - phase 1 (propose, parallel): when the policy exports
-     [sharded_hooks], every shard scans its own machines and proposes
-     the leftmost strict-cost-minimum candidate for the arriving job.
-     The scan is strictly read-only — [shard_cost] sees the driver state
-     through the same read-only [view] policies always get, and the pool
-     barrier ([Pool.run_shards]) gives the commit phase a happens-before
-     edge over every proposal.
-   - phase 2 (commit, sequential): proposals are folded in ascending
-     shard order (strict-less replacement, so the fold equals a single
-     ascending scan over all machines), [shard_resolve] turns the winner
-     into a decision, and the decision — plus every completion event —
-     is applied by exactly the handlers [run_flat] uses, on the
-     submitting domain, in canonical event order.
-
-   S-unobservability: completion events draw tags from one global
-   sequence counter (arrivals implicitly hold seqs 1..n via the release
-   cursor), so the merge-pop below realizes exactly the (key, tag) order
-   [run_flat]'s single heap realizes, and every mutation happens in that
-   order — schedules, traces, recorder rings and metrics are
-   bit-identical at every S (the shard differential suite pins this at
-   S in {1,2,4}).  Policies without hooks fall back to [on_arrival] in
-   phase 2, sequentially; the result is still independent of S. *)
-
-type 'a sharded_hooks = {
-  shard_cost : 'a -> view -> Machine.id -> Job.t -> float;
-  shard_resolve : 'a -> view -> Job.t -> target:Machine.id -> score:float -> decision;
-}
-
-let run_sharded ?trace ?obs ?recorder ?(check = false) ?hooks ?pool ~shards policy instance =
-  if shards < 1 then
-    invalid_arg (Printf.sprintf "Driver: shards must be >= 1 (got %d)" shards);
-  let m = Instance.m instance in
-  let n = Instance.n instance in
-  let fs = Flat_state.of_instance instance in
-  let vw = V_flat fs in
-  let instr = match obs with None -> None | Some o -> Some (make_instr o m) in
-  let pstate = policy.init instance in
-  let s_count = shards in
-  (* Shard geometry: contiguous, near-equal slices of the machine axis. *)
-  let lo = Array.init (s_count + 1) (fun s -> s * m / s_count) in
-  let owner = Array.make (max 1 m) 0 in
-  for s = 0 to s_count - 1 do
-    for i = lo.(s) to lo.(s + 1) - 1 do
-      owner.(i) <- s
-    done
-  done;
-  let heaps = Array.init s_count (fun _ -> Pqueue.Events.create ()) in
-  (* One global insertion-sequence counter across every shard heap.
-     Arrivals implicitly hold seqs 1..n (the release cursor below), so
-     the first completion takes n+1 — the same tag
-     [Flat_state.push_finish] would hand it after [seed_arrivals]. *)
-  let seq = ref n in
-  let push_finish i finish =
-    incr seq;
-    Pqueue.Events.push heaps.(owner.(i)) ~key:finish
-      ~tag:(Pqueue.Events.Key.finish_tag ~seq:!seq)
-      ~payload:(Pqueue.Events.Key.finish_payload ~machine:i ~epoch:(Flat_state.epoch fs i))
-  in
-  let commit_arrival, commit_finish =
-    make_flat_handlers ?trace ?recorder ~instr ~push_finish fs policy pstate vw
-  in
-  (* Arrival cursor over the release-sorted job array: arrival k carries
-     (key = release, tag = arrival_tag (k+1)) — the keys and tags
-     [Flat_state.seed_arrivals] would push, without a heap. *)
-  let jobs_rel = Instance.jobs_by_release instance in
-  let acur = ref 0 in
-  (* Merge-pop scratch: the best (key, tag) among the arrival head and
-     the S shard heads.  Float arrays keep the key unboxed. *)
-  let bk = Array.make 1 0. in
-  let bt = ref 0 in
-  let bsrc = ref (-2) in
-  (* Source of the next event in canonical order: -1 the arrival cursor,
-     s >= 0 shard s's heap, -2 drained.  All tags are globally unique,
-     so the strict (key, tag) comparison picks a unique minimum — the
-     exact element [run_flat]'s single heap would pop. *)
-  let[@rejlint.hot] next_source () =
-    bsrc := -2;
-    if !acur < n then begin
-      bsrc := -1;
-      bk.(0) <- jobs_rel.(!acur).Job.release;
-      bt := Pqueue.Events.Key.arrival_tag ~seq:(!acur + 1)
-    end;
-    for s = 0 to s_count - 1 do
-      if not (Pqueue.Events.is_empty heaps.(s)) then begin
-        let k = Pqueue.Events.peek_key heaps.(s) and t = Pqueue.Events.peek_tag heaps.(s) in
-        if !bsrc = -2 || k < bk.(0) || (k = bk.(0) && t < !bt) then begin
-          bsrc := s;
-          bk.(0) <- k;
-          bt := t
-        end
-      end
-    done;
-    !bsrc
-  in
-  let pop_src =
-    match instr with
-    | None -> next_source
-    | Some ins -> fun () -> Sched_obs.Sink.time ins.i_sink phase_heap next_source
-  in
-  (* Phase-1 proposal slots, one per shard (written by the shard's task
-     only, read after the barrier). *)
-  let prop_i = Array.make s_count (-1) in
-  let prop_c = Array.make s_count 0. in
-  let[@rejlint.hot] propose_shard h (j : Job.t) s =
-    let id = j.Job.id in
-    let hi = lo.(s + 1) in
-    prop_i.(s) <- -1;
-    for i = lo.(s) to hi - 1 do
-      if Flat_state.eligible fs ~machine:i ~job:id then begin
-        let c = h.shard_cost pstate vw i j in
-        (* Leftmost strict minimum — the update rule every registry
-           argmin uses (keep the incumbent when [c' <= c]; costs are
-           never NaN for eligible machines). *)
-        if prop_i.(s) < 0 || c < prop_c.(s) then begin
-          prop_i.(s) <- i;
-          prop_c.(s) <- c
-        end
-      end
-    done
-  in
-  (* Pool resolution stays free of process-global state (RJL102): an
-     explicit [?pool], else the ambient pool when already inside a pool
-     task, else sequential proposals — all three produce bit-identical
-     schedules, only wall time differs. *)
-  let propose_pool =
-    match hooks with
-    | None -> None
-    | Some _ ->
-        if s_count = 1 then None
-        else (match pool with Some _ as p -> p | None -> Sched_stats.Pool.ambient_opt ())
-  in
-  let tc = Array.make 1 0. in
-  let decide h (j : Job.t) =
-    (match propose_pool with
-    | Some p -> Sched_stats.Pool.run_shards p ~shards:s_count (fun s -> propose_shard h j s)
-    | None ->
-        for s = 0 to s_count - 1 do
-          propose_shard h j s
-        done);
-    (* Ascending-shard fold with strict-less replacement: earlier shards
-       win ties, so the fold equals one ascending scan over 0..m-1. *)
-    let ti = ref (-1) in
-    for s = 0 to s_count - 1 do
-      if prop_i.(s) >= 0 && (!ti < 0 || prop_c.(s) < tc.(0)) then begin
-        ti := prop_i.(s);
-        tc.(0) <- prop_c.(s)
-      end
-    done;
-    if !ti < 0 then
-      invalid_arg
-        (Printf.sprintf "Driver: policy %s found no eligible machine for job %d" policy.name
-           j.Job.id)
-    else h.shard_resolve pstate vw j ~target:!ti ~score:tc.(0)
-  in
-  let[@rejlint.hot] rec loop () =
-    let src = pop_src () in
-    if src >= -1 then begin
-      (if src = -1 then begin
-         let j = jobs_rel.(!acur) in
-         incr acur;
-         Flat_state.set_clock fs (Float.max (Flat_state.clock fs) j.Job.release);
-         let decision =
-           match hooks with
-           | None -> (
-               match instr with
-               | None -> policy.on_arrival pstate vw j
-               | Some ins ->
-                   (Sched_obs.Sink.time ins.i_sink phase_on_arrival (fun () ->
-                        policy.on_arrival pstate vw j) [@rejlint.cold]))
-           | Some h -> (
-               match instr with
-               | None -> decide h j
-               | Some ins ->
-                   (Sched_obs.Sink.time ins.i_sink phase_on_arrival (fun () -> decide h j)
-                   [@rejlint.cold]))
-         in
-         commit_arrival j decision
-       end
-       else begin
-         let q = heaps.(src) in
-         ignore (Pqueue.Events.pop q);
-         Flat_state.set_clock fs (Float.max (Flat_state.clock fs) (Pqueue.Events.key q));
-         let payload = Pqueue.Events.payload q in
-         commit_finish
-           (Pqueue.Events.Key.machine_of ~payload)
-           (Pqueue.Events.Key.epoch_of ~payload)
-       end);
-      loop ()
-    end
-  in
-  let w0 = Gc.minor_words () in
-  loop ();
-  let w1 = Gc.minor_words () in
-  (match obs with
-  | None -> ()
-  | Some o ->
-      (* Same instrument as [run_flat]'s: [!seq] counts arrivals plus
-         scheduled completions, exactly what [events_pushed] reports
-         there. *)
-      let reg = Sched_obs.Obs.registry o in
-      let cw =
-        Sched_obs.Registry.counter reg
-          ~help:"Minor-heap words allocated inside the flat event loop" c_flat_minor_words_name
-      in
-      let ce =
-        Sched_obs.Registry.counter reg ~help:"Events processed by the flat event loop"
-          c_flat_events_name
-      in
-      Sched_obs.Metric.Counter.add cw (w1 -. w0);
-      Sched_obs.Metric.Counter.add ce (float_of_int !seq));
-  for i = 0 to m - 1 do
-    if Flat_state.pend_count fs i > 0 || Flat_state.run_job fs i >= 0 then
-      invalid_arg
-        (Printf.sprintf "Driver: policy %s left work unfinished on machine %d" policy.name i)
-  done;
-  let schedule = Flat_state.to_schedule fs in
-  if check then
-    audit ?obs ?recorder ~name:policy.name ~saw_restart:(Flat_state.saw_restart fs) (live vw)
-      schedule;
-  (schedule, pstate, live vw)
 
 let run_view ?trace ?obs ?recorder ?check ?impl policy instance =
   (* The impl selector is benchmark plumbing, not policy state: both

@@ -382,62 +382,3 @@ module Session : sig
       non-replayed observable.  Raises [Invalid_argument] on a
       truncated/corrupt payload or a policy mismatch. *)
 end
-
-(** {1 Sharded execution}
-
-    A single run parallelized {e within} the event loop: machines are
-    partitioned into [shards] contiguous shards, each owning its slice
-    of the flat columns and its own completion-event heap, and every
-    event is processed as a deterministic two-phase tick — phase 1,
-    shards scan their own machines in parallel and {e propose} the
-    arriving job's cheapest candidate against the read-only view; phase
-    2, the proposals are folded in fixed (shard-index, then event-key)
-    order and committed sequentially in canonical event order.  The
-    schedule is therefore {b provably independent of [shards]}: results
-    — schedule, trace, recorder ring, live metrics — are bit-identical
-    to {!run} at every shard count (the shard differential suite pins
-    S in [{1,2,4}] across the fuzz corpus and every registry policy).
-
-    Phase 1 only pays off when the per-arrival machine scan dominates —
-    the regime E15 targets (m in the thousands).  Policies opt in by
-    exporting {!sharded_hooks}; without hooks, [on_arrival] runs
-    sequentially in phase 2 and sharding only splits the event heaps. *)
-
-type 'a sharded_hooks = {
-  shard_cost : 'a -> view -> Machine.id -> Job.t -> float;
-      (** Dispatch cost of a machine for the arriving job, evaluated
-          against the read-only view.  Must be pure reads (no lazy
-          structure wakes — the primary pending order only), never NaN
-          for an eligible machine, and must reproduce the policy's own
-          [on_arrival] argmin cost exactly. *)
-  shard_resolve : 'a -> view -> Job.t -> target:Machine.id -> score:float -> decision;
-      (** Phase-2 completion of [on_arrival] given the winning machine
-          (the leftmost strict cost minimum over all machines) and its
-          cost.  Runs sequentially and may mutate policy state; the
-          contract is [shard_resolve st v j ~target ~score =
-          on_arrival st v j] whenever [target]/[score] are that argmin. *)
-}
-(** The decomposition of a policy's [on_arrival] into a parallelizable
-    read-only argmin (phase 1) and a sequential remainder (phase 2). *)
-
-val run_sharded :
-  ?trace:Trace.t ->
-  ?obs:Sched_obs.Obs.t ->
-  ?recorder:Sched_obs.Recorder.t ->
-  ?check:bool ->
-  ?hooks:'a sharded_hooks ->
-  ?pool:Sched_stats.Pool.t ->
-  shards:int ->
-  'a policy ->
-  Instance.t ->
-  Schedule.t * 'a * live_metrics
-(** Runs the policy on the flat core with [shards] machine shards.
-    Raises [Invalid_argument] when [shards < 1].  With [?hooks] and
-    [shards > 1], phase 1 runs on [?pool] — or on the ambient
-    {!Sched_stats.Pool} when the caller is already inside a pool task;
-    with neither, proposals are evaluated sequentially (the process-wide
-    default pool is deliberately not consulted: policy execution stays
-    free of global state).  Shard regions nest safely inside pool tasks.
-    [shards = 1] (or no hooks) never touches a pool.  All choices are
-    bit-identical; only wall time differs.  Always uses the flat core
-    regardless of {!default_impl}. *)

@@ -5,12 +5,12 @@ open Sched_model
    Everything the driver's inner loop touches per event lives in unboxed
    [float array]s and [int array]s: job columns by id, machine columns by
    machine id, per-machine pending heaps over bare ids
-   ([Pqueue.Iheap]), the running slot, the event queue
-   ([Pqueue.Events]) and the metric accumulators.  Once the growable
-   arrays have warmed up, none of the mutators here allocates on the
-   minor heap — the only boxed structures are built at the edges
-   ([of_instance], [to_schedule], and the [Job.t] handles policies read
-   through the driver's view accessors.
+   ([Pqueue.Iheap]), the running slot, the arrival cursor, the
+   completion queue ([Pqueue.Events]) and the metric accumulators.
+   Once the growable arrays have warmed up, none of the mutators here
+   allocates on the minor heap — the only boxed structures are built at
+   the edges ([of_instance], [to_schedule], and the [Job.t] handles
+   policies read through the driver's view accessors.
 
    Byte-identity with the boxed driver is a hard requirement, so every
    float expression below copies the boxed code's operation order
@@ -46,10 +46,10 @@ let facc_len = 11
 let loc_unreleased = -1
 let loc_settled = -2
 
-(* Streaming only: fed through [add_job], arrival event queued, not yet
-   released.  Indistinguishable from [loc_unreleased] to the driver (both
-   fail [loc_is_pending]/[loc_is_running]); it exists so [add_job] can
-   reject duplicate ids. *)
+(* Streaming only: fed through [add_job], arrival queued on the cursor,
+   not yet released.  Indistinguishable from [loc_unreleased] to the
+   driver (both fail [loc_is_pending]/[loc_is_running]); it exists so
+   [add_job] can reject duplicate ids. *)
 let loc_queued = -3
 let loc_pending ~machine = 2 * machine
 let loc_running ~machine = (2 * machine) + 1
@@ -113,9 +113,19 @@ type t = {
   epoch : int array;
   (* Job status (see the [loc_*] codes above). *)
   mutable loc : int array;
-  (* Event queue and its shared insertion-sequence counter. *)
+  (* Arrival cursor: ids fed through [add_job] and not yet popped, in
+     feed order — a ring of [arr_len] entries starting at [arr_head]. *)
+  mutable arr : int array;
+  mutable arr_head : int;
+  mutable arr_len : int;
+  (* Completion queue and the insertion-sequence counter it shares with
+     the arrivals. *)
   events : Pqueue.Events.t;
   mutable seq : int;
+  (* The most recently popped event: its kind, and an arrival's job id
+     or a completion's packed [Pqueue.Events.Key.finish_payload]. *)
+  mutable ev_arrival : bool;
+  mutable ev_payload : int;
   (* Float accumulators (clock + incremental metrics); int counts are
      immediate and live as plain mutable fields. *)
   facc : float array;
@@ -263,8 +273,13 @@ let of_instance instance =
     run_finish = Array.make m 0.;
     epoch = Array.make m 0;
     loc = Array.make n loc_unreleased;
+    arr = [||];
+    arr_head = 0;
+    arr_len = 0;
     events = Pqueue.Events.create ();
     seq = 0;
+    ev_arrival = false;
+    ev_payload = 0;
     facc;
     a_completed = 0;
     a_rejected = 0;
@@ -338,6 +353,21 @@ let grow_columns t id =
     rebless_heaps t
   end
 
+(* Grow the arrival ring to hold [need] entries, unrolling it so the head
+   lands at slot 0.  Cold: the ring only grows while fed arrivals outrun
+   the drain — a serving loop that drains each arrival as it comes stays
+   at one slot, which every checkpoint then carries. *)
+let grow_arrivals t need =
+  let cap = Array.length t.arr in
+  if need > cap then begin
+    let a = Array.make (max need (2 * cap)) 0 in
+    for k = 0 to t.arr_len - 1 do
+      a.(k) <- t.arr.((t.arr_head + k) mod cap)
+    done;
+    t.arr <- a;
+    t.arr_head <- 0
+  end
+
 let add_job t (j : Job.t) =
   let id = j.Job.id in
   if Array.length j.Job.sizes <> t.m then
@@ -359,18 +389,21 @@ let add_job t (j : Job.t) =
   if id >= t.n then t.n <- id + 1;
   t.loc.(id) <- loc_queued;
   t.facc.(f_total_weight) <- t.facc.(f_total_weight) +. j.Job.weight;
+  (* Every arrival consumes a sequence number, so finish tags and
+     [events_pushed] follow the boxed driver's event-id sequence. *)
   t.seq <- t.seq + 1;
-  Pqueue.Events.push t.events ~key:j.Job.release
-    ~tag:(Pqueue.Events.Key.arrival_tag ~seq:t.seq)
-    ~payload:id
+  grow_arrivals t (t.arr_len + 1);
+  let k = t.arr_head + t.arr_len and cap = Array.length t.arr in
+  t.arr.(if k >= cap then k - cap else k) <- id;
+  t.arr_len <- t.arr_len + 1
 
 (* Pre-size for a known job count: one growth instead of a doubling
-   cascade, and the event queue holds all arrivals at once — how the
-   batch wrapper keeps [of_instance]'s allocation profile. *)
+   cascade, and the cursor holds all arrivals at once — how the batch
+   wrapper keeps [of_instance]'s allocation profile. *)
 let reserve t cap =
   if cap > 0 then begin
     grow_columns t (cap - 1);
-    Pqueue.Events.ensure_capacity t.events cap
+    grow_arrivals t cap
   end
 
 let set_retire t on = t.retire <- on
@@ -433,7 +466,6 @@ let[@rejlint.hot] mach_speed t i = (Instance.machine t.instance i).Machine.speed
 (* Clock and status. *)
 
 let[@rejlint.hot] clock t = t.facc.(f_clock)
-let[@rejlint.hot] set_clock t v = t.facc.(f_clock) <- v
 let[@rejlint.hot] loc t id = t.loc.(id)
 let[@rejlint.hot] set_loc t id l = t.loc.(id) <- l
 let[@rejlint.hot] saw_restart t = t.saw_restart
@@ -533,23 +565,14 @@ let[@rejlint.hot] set_running t i ~job ~started ~rate ~finish =
 let[@rejlint.hot] clear_running t i = t.run_job.(i) <- -1
 
 (* ------------------------------------------------------------------ *)
-(* Events.  The shared [seq] counter mirrors the boxed driver's: arrivals
-   are seeded first (in release order), completions take the next values
-   as starts happen, so tags — and therefore equal-time ordering — come
-   out identical. *)
-
-let seed_arrivals t =
-  (* One allocation instead of a doubling cascade: the queue holds all
-     [n] arrivals at once before the first pop, and completions reuse
-     the slots arrivals free up. *)
-  Pqueue.Events.ensure_capacity t.events t.n;
-  Array.iter
-    (fun (j : Job.t) ->
-      t.seq <- t.seq + 1;
-      Pqueue.Events.push t.events ~key:j.Job.release
-        ~tag:(Pqueue.Events.Key.arrival_tag ~seq:t.seq)
-        ~payload:j.Job.id)
-    (Instance.jobs_by_release t.instance)
+(* Events.  Two sources, merged at pop time: the arrival cursor, whose
+   head is always the earliest fed arrival (the session layer feeds in
+   strictly increasing (release, id) order), and the completion heap,
+   keyed (finish time, sequence).  At equal times the completion pops
+   first, so a policy dispatching at time t sees machines that just
+   finished as idle; within a kind, feed order (arrivals) or tag order
+   (completions) decides — the order the boxed driver's single heap
+   realizes. *)
 
 let[@rejlint.hot] push_finish t ~machine ~time =
   t.seq <- t.seq + 1;
@@ -557,21 +580,52 @@ let[@rejlint.hot] push_finish t ~machine ~time =
     ~tag:(Pqueue.Events.Key.finish_tag ~seq:t.seq)
     ~payload:(Pqueue.Events.Key.finish_payload ~machine ~epoch:t.epoch.(machine))
 
-let[@rejlint.hot] next_event t = Pqueue.Events.pop t.events
+(* The merged pop: deposit the next event with key [<= limit] in the
+   [ev_*] cells and advance the clock to it; [false] (nothing touched)
+   when both sources are dry or the next key lies beyond the horizon.
+   [~limit:infinity] runs the sources dry (all keys are finite), which is
+   how a session's close drains.  Keys stay unboxed: the cursor head's
+   release is a direct column read and [peek_key] reads the heap's key
+   array. *)
+let[@rejlint.hot] next_event_before t ~limit =
+  let q = t.events in
+  let id = if t.arr_len > 0 then t.arr.(t.arr_head) else -1 in
+  if id >= 0 && (Pqueue.Events.is_empty q || t.release.(id) < Pqueue.Events.peek_key q) then begin
+    let r = t.release.(id) in
+    if r > limit then false
+    else begin
+      let h = t.arr_head + 1 in
+      t.arr_head <- (if h = Array.length t.arr then 0 else h);
+      t.arr_len <- t.arr_len - 1;
+      t.facc.(f_clock) <- Float.max t.facc.(f_clock) r;
+      t.ev_arrival <- true;
+      t.ev_payload <- id;
+      true
+    end
+  end
+  else if Pqueue.Events.pop_before q ~limit then begin
+    t.facc.(f_clock) <- Float.max t.facc.(f_clock) (Pqueue.Events.key q);
+    t.ev_arrival <- false;
+    t.ev_payload <- Pqueue.Events.payload q;
+    true
+  end
+  else false
 
-(* Bounded pop for [Driver.Session.drain_until]: stop at the horizon.
-   [~limit:infinity] behaves exactly like [next_event] (all queued keys
-   are finite), which is how a session's close drains the queue dry. *)
-let[@rejlint.hot] next_event_before t ~limit = Pqueue.Events.pop_before t.events ~limit
+let[@rejlint.hot] ev_is_arrival t = t.ev_arrival
+let[@rejlint.hot] ev_payload t = t.ev_payload
 let[@rejlint.hot] events_pushed t = t.seq
 
-(* Smallest queued event key, or [infinity] when the queue is idle — the
-   serve loop's "how far may I drain without outrunning the stream"
-   probe. *)
-let next_key t = if Pqueue.Events.is_empty t.events then infinity else Pqueue.Events.peek_key t.events
-let[@rejlint.hot] ev_time t = Pqueue.Events.key t.events
-let[@rejlint.hot] ev_tag t = Pqueue.Events.tag t.events
-let[@rejlint.hot] ev_payload t = Pqueue.Events.payload t.events
+(* Smallest pending event key — the cursor head's release or the heap's
+   top, whichever is smaller — or [infinity] when both are dry: the serve
+   loop's "how far may I drain without outrunning the stream" probe. *)
+let next_key t =
+  let h = if Pqueue.Events.is_empty t.events then infinity else Pqueue.Events.peek_key t.events in
+  if t.arr_len = 0 then h
+  else
+    let r = t.release.(t.arr.(t.arr_head)) in
+    if r < h then r else h
+
+let arrival_capacity t = Array.length t.arr
 
 (* ------------------------------------------------------------------ *)
 (* Segments and accounting.  Operation order copies the boxed driver's

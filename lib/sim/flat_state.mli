@@ -2,7 +2,8 @@
     {!Driver}'s default implementation.
 
     Everything the event loop touches per event — job columns, pending
-    heaps, running slots, the event queue, metric accumulators — lives in
+    heaps, running slots, the arrival cursor and completion queue, metric
+    accumulators — lives in
     unboxed [float array]s and [int array]s indexed by job/machine id, so
     the steady state allocates nothing on the minor heap once the
     growable arrays have warmed up.  Boxed values appear only at the
@@ -21,8 +22,10 @@
       {!Pqueue.Indexed}'s algorithm — driven by the same operation
       sequence, so [pend_iter]'s heap-array order (which policies fold
       floats over) coincides slot-for-slot;
-    - event tags come from the same shared sequence counter, seeded by
-      arrivals in release order, so equal-time event ordering matches.
+    - events pop in the boxed driver's order: completion tags come from
+      the same shared sequence counter (each fed arrival consumes one
+      value first), and at equal times completions pop before arrivals,
+      which pop in feed order.
 
     Mutators here do {e no} validation beyond array bounds; the driver
     enforces the policy-facing contract (and raises the user-facing
@@ -45,8 +48,8 @@ val of_instance : Instance.t -> t
     per-(machine, job) matrices, whose stride is the job capacity) grow
     by doubling, with the heap comparators re-blessed onto the
     reallocated arrays ({!Pqueue.Iheap.set_less}).  Feeding every job of
-    an instance in [jobs_by_release] order reproduces the batch state's
-    event tags — and therefore its schedule — byte for byte. *)
+    an instance in [jobs_by_release] order reproduces the batch run's
+    event order — and therefore its schedule — byte for byte. *)
 
 val of_stream : machines:Machine.t array -> t
 (** An empty state over the fleet ([Invalid_argument] on an invalid
@@ -55,16 +58,17 @@ val of_stream : machines:Machine.t array -> t
     {!set_instance}. *)
 
 val add_job : t -> Job.t -> unit
-(** Registers the job's columns and queues its arrival event, consuming
-    the shared sequence counter — the streaming counterpart of one
-    {!seed_arrivals} step.  Jobs must be fed in ascending
-    [(release, id)] order for batch byte-identity (the driver's session
-    layer enforces this; ids may be arbitrary non-negative ints).
+(** Registers the job's columns and appends its id to the arrival
+    cursor, consuming one value of the shared sequence counter.  Jobs
+    must be fed in ascending [(release, id)] order — the cursor is a
+    FIFO, so its head is the earliest arrival only under that order (the
+    driver's session layer enforces it; ids may be arbitrary
+    non-negative ints).
     Raises [Invalid_argument] on a duplicate id or a sizes array that
     does not match the fleet. *)
 
 val reserve : t -> int -> unit
-(** Pre-grows the job columns and the event queue for [cap] jobs — one
+(** Pre-grows the job columns and the arrival cursor for [cap] jobs — one
     reallocation instead of a doubling cascade when the count is known
     up front.  Never shrinks. *)
 
@@ -130,7 +134,8 @@ val mach_speed : t -> int -> float
 (** {1 Clock and status} *)
 
 val clock : t -> float
-val set_clock : t -> float -> unit
+(** The simulation clock; {!next_event_before} advances it. *)
+
 val loc : t -> int -> int
 val set_loc : t -> int -> int -> unit
 val saw_restart : t -> bool
@@ -180,37 +185,45 @@ val clear_running : t -> int -> unit
 
 (** {1 Events}
 
-    Backed by {!Pqueue.Events}; the popped event is read back through the
-    [ev_*] cursor accessors, so the loop never allocates an option. *)
-
-val seed_arrivals : t -> unit
-(** Pushes every job's arrival in release order, consuming the shared
-    sequence counter — call exactly once, before the first
-    {!push_finish}. *)
+    Two sources merged at pop time: the arrival cursor (a FIFO ring of
+    fed, not-yet-popped job ids whose slots are reclaimed as they pop)
+    and the completion heap ({!Pqueue.Events}).  The popped event is read
+    back through the [ev_*] accessors, so the loop never allocates an
+    option. *)
 
 val push_finish : t -> machine:int -> time:float -> unit
 (** Schedules a completion at [time] for the machine's {e current}
-    epoch. *)
-
-val next_event : t -> bool
+    epoch, consuming the shared sequence counter. *)
 
 val next_event_before : t -> limit:float -> bool
-(** {!next_event}, but refuses to pop an event beyond the horizon —
-    {!Pqueue.Events.pop_before} on the shared queue.  The session
+(** Pops the earliest event with key [<= limit] and advances the clock to
+    its key ([Float.max] of the two); [false], touching nothing, when no
+    such event exists.  The earliest event is the smaller of the cursor
+    head's release and the heap top's key; on equal keys the completion
+    pops first.  [~limit:infinity] drains both sources dry.  The session
     driver's bounded drain; callers box [limit] once per drain. *)
 
+val ev_is_arrival : t -> bool
+(** Whether the last popped event was an arrival. *)
+
+val ev_payload : t -> int
+(** The last popped event's operand: the job id of an arrival, or a
+    completion's packed {!Pqueue.Events.Key.finish_payload}. *)
+
 val next_key : t -> float
-(** Key of the next queued event, or [infinity] when the queue is
-    empty.  Allocation-free. *)
+(** Key of the next pending event — the minimum of the cursor head's
+    release and the heap top's key — or [infinity] when both are empty.
+    Allocation-free. *)
 
 val events_pushed : t -> int
-(** Total events pushed so far (arrivals + scheduled completions).  Once
-    the queue has drained, this equals the number of events the loop
-    processed — the denominator of the allocations-per-event metric. *)
+(** Total events queued so far (arrivals fed + completions scheduled).
+    Once both sources have drained, this equals the number of events the
+    loop processed — the denominator of the allocations-per-event
+    metric. *)
 
-val ev_time : t -> float
-val ev_tag : t -> int
-val ev_payload : t -> int
+val arrival_capacity : t -> int
+(** Length of the cursor's backing array, for the bounded-memory tests:
+    it grows only while fed arrivals outrun the drain. *)
 
 (** {1 Segments, accounting, outcomes} *)
 

@@ -83,30 +83,19 @@ let clear t =
 
 module Events = struct
   module Key = struct
-    (* Tags order same-time events: completions (seq alone) sort before
-       arrivals (seq + the arrival bit), and within a kind the insertion
-       sequence decides.  Payloads carry the event operands: the job id of
-       an arrival, or a (machine, epoch) pair packed for a completion. *)
-    let arrival_bit = 1 lsl 40
-    let max_seq = arrival_bit - 1
+    (* Tags order same-time completions by insertion sequence.  Arrivals
+       never enter the queue (the flat core reads them from a
+       release-ordered cursor), so a tag is the sequence number itself.
+       Payloads pack a completion's (machine, epoch) pair into one int. *)
+    let max_seq = (1 lsl 40) - 1
     let machine_bits = 20
     let max_machine = (1 lsl machine_bits) - 1
     let max_epoch = (1 lsl (62 - machine_bits)) - 1
 
-    let check_seq seq =
-      if seq < 0 || seq > max_seq then
-        invalid_arg (Printf.sprintf "Pqueue.Events.Key: sequence %d out of range" seq)
-
     let finish_tag ~seq =
-      check_seq seq;
+      if seq < 0 || seq > max_seq then
+        invalid_arg (Printf.sprintf "Pqueue.Events.Key: sequence %d out of range" seq);
       seq
-
-    let arrival_tag ~seq =
-      check_seq seq;
-      arrival_bit + seq
-
-    let is_arrival ~tag = tag land arrival_bit <> 0
-    let seq_of ~tag = tag land (arrival_bit - 1)
 
     let finish_payload ~machine ~epoch =
       if machine < 0 || machine > max_machine then
@@ -229,32 +218,12 @@ module Events = struct
      caller, never per event. *)
   let pop_before t ~limit = if t.elen = 0 || t.ekey.(0) > limit then false else pop t
 
-  (* Non-destructive root reads, for the sharded driver's merge-pop: it
-     scans every shard heap's head before popping exactly one.  Both are
-     meaningless on an empty queue (the caller checks [is_empty]) and
-     allocation-free — [peek_key] returns a float already stored unboxed
-     in the key array. *)
+  (* Non-destructive root read, for the flat core's merged pop: it
+     compares the heap's head against the arrival cursor's before popping
+     either.  Meaningless on an empty queue (the caller checks
+     [is_empty]) and allocation-free — the float is already stored
+     unboxed in the key array. *)
   let peek_key t = t.ekey.(0)
-  let peek_tag t = t.etag.(0)
-
-  let ensure_capacity t n =
-    let cap = Array.length t.ekey in
-    if n > cap then begin
-      let ncap = max 16 (max n (2 * cap)) in
-      let nkey = Array.make ncap 0. and ntag = Array.make ncap 0 and npay = Array.make ncap 0 in
-      Array.blit t.ekey 0 nkey 0 t.elen;
-      Array.blit t.etag 0 ntag 0 t.elen;
-      Array.blit t.epay 0 npay 0 t.elen;
-      t.ekey <- nkey;
-      t.etag <- ntag;
-      t.epay <- npay
-    end
-
-  let clear t =
-    t.ekey <- [||];
-    t.etag <- [||];
-    t.epay <- [||];
-    t.elen <- 0
 end
 
 (* ------------------------------------------------------------------ *)

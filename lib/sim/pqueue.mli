@@ -29,13 +29,11 @@ val clear : 'a t -> unit
     state never touches the minor heap.  Keys must be finite and tags
     unique while queued. *)
 module Events : sig
-  (** Int-encoded event keys.  A tag is the insertion sequence plus, for
-      arrivals, a high kind bit — so at equal times completions (bit
-      clear) sort before arrivals (bit set), and within a kind the
-      sequence decides, exactly as the boxed driver's tags do.  A
-      completion payload packs [(machine, epoch)] into one int.  Encoders
-      raise [Invalid_argument] out of range; within range, encode/decode
-      is a bijection (property-tested). *)
+  (** Int-encoded event keys.  A tag is the completion's insertion
+      sequence, so at equal times completions pop in the order they were
+      scheduled.  A completion payload packs [(machine, epoch)] into one
+      int.  Encoders raise [Invalid_argument] out of range; within range,
+      encode/decode is a bijection (property-tested). *)
   module Key : sig
     val max_seq : int
     (** Largest encodable sequence number, [2^40 - 1]. *)
@@ -47,9 +45,7 @@ module Events : sig
     (** Largest encodable epoch, [2^42 - 1]. *)
 
     val finish_tag : seq:int -> int
-    val arrival_tag : seq:int -> int
-    val is_arrival : tag:int -> bool
-    val seq_of : tag:int -> int
+    (** The tag of the [seq]-th event: [seq] itself, range-checked. *)
 
     val finish_payload : machine:int -> epoch:int -> int
     val machine_of : payload:int -> int
@@ -91,17 +87,6 @@ module Events : sig
   val peek_key : t -> float
   (** Key of the current minimum, without removing it.  Meaningless when
       the queue is empty (check {!is_empty} first); allocation-free. *)
-
-  val peek_tag : t -> int
-  (** Tag of the current minimum, without removing it.  Same contract as
-      {!peek_key}. *)
-
-  val ensure_capacity : t -> int -> unit
-  (** Grows the backing arrays to hold at least [n] queued events, so a
-      caller that knows the arrival count up front pays one allocation
-      instead of a doubling cascade.  Never shrinks. *)
-
-  val clear : t -> unit
 end
 
 (** Indexed min-heap: a binary heap that additionally tracks the heap slot

@@ -335,30 +335,6 @@ let test_domains_negative_rejected () =
     (Test_util.contains (read_file err) "--domains");
   Sys.remove err
 
-let test_shards_invalid_rejected () =
-  List.iter
-    (fun flag ->
-      let err = temp ".txt" in
-      let code = shell (Printf.sprintf "%s run %s > /dev/null 2> %s" exe flag err) in
-      Alcotest.(check int) (flag ^ " exit code") 2 code;
-      Alcotest.(check bool) (flag ^ " message on stderr") true
-        (Test_util.contains (read_file err) "--shards");
-      Sys.remove err)
-    [ "--shards 0"; "--shards=-3" ]
-
-let test_run_shards_identical () =
-  (* The sharded driver must be unobservable from the CLI: the metrics
-     table at S = 4 is byte-identical to the unsharded run. *)
-  let out1 = temp ".csv" and out2 = temp ".csv" in
-  let run extra out =
-    shell (Printf.sprintf "%s run -p thm1 -n 150 -m 8 --csv %s > %s" exe extra out)
-  in
-  Alcotest.(check int) "exit unsharded" 0 (run "" out1);
-  Alcotest.(check int) "exit at S=4" 0 (run "--shards 4" out2);
-  Alcotest.(check string) "byte-identical metrics" (read_file out1) (read_file out2);
-  Sys.remove out1;
-  Sys.remove out2
-
 let suite =
   [
     Alcotest.test_case "unknown policy exits 2" `Quick test_unknown_policy_exits_2;
@@ -366,17 +342,15 @@ let suite =
       test_experiment_domains_identical;
     Alcotest.test_case "--domains 0 rejected" `Quick test_domains_zero_rejected;
     Alcotest.test_case "--domains negative rejected" `Quick test_domains_negative_rejected;
-    Alcotest.test_case "--shards 0/negative rejected" `Quick test_shards_invalid_rejected;
-    Alcotest.test_case "run output independent of --shards" `Quick test_run_shards_identical;
     Alcotest.test_case "telemetry counters reconcile" `Quick test_telemetry_reconciles_with_metrics;
     Alcotest.test_case "telemetry to stdout" `Quick test_telemetry_stdout;
     Alcotest.test_case "trace ndjson matches in-process" `Quick test_trace_ndjson_matches_in_process;
     Alcotest.test_case "trace subcommand replays a corpus case" `Quick test_trace_subcommand_case;
     Alcotest.test_case "trace subcommand to stdout" `Quick test_trace_subcommand_stdout;
-    Alcotest.test_case "trace --ring-cap 0 rejected" `Quick test_trace_ring_cap_rejected;
     Alcotest.test_case "serve smoke: schema-tagged decision stream" `Quick test_serve_smoke;
     Alcotest.test_case "serve checkpoint/restore splices byte-identically" `Quick
       test_serve_checkpoint_restore_identical;
+    Alcotest.test_case "trace --ring-cap 0 rejected" `Quick test_trace_ring_cap_rejected;
     Alcotest.test_case "serve --checkpoint - owns stdout" `Quick test_serve_checkpoint_stdout;
     Alcotest.test_case "serve --batch 0/negative rejected" `Quick test_serve_invalid_batch_rejected;
     Alcotest.test_case "serve --restore corrupt snapshot exits 2" `Quick

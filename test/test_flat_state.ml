@@ -1,6 +1,8 @@
 (* Property tests for the flat core's data structures: Flat_state's
-   instance mirror, the int-encoded event keys, and the two flat heaps —
-   each checked against its boxed counterpart or an algebraic law. *)
+   instance mirror, the int-encoded event keys, the merged pop over the
+   arrival cursor and completion heap, and the two flat heaps — each
+   checked against its boxed counterpart, a worked example or an
+   algebraic law. *)
 
 open Sched_model
 open Sched_sim
@@ -77,16 +79,14 @@ let wide_seq = QCheck.(map (fun (hi, lo) -> (hi lsl 20) lor lo) (pair (int_bound
 let wide_epoch =
   QCheck.(map (fun (hi, lo) -> (hi lsl 20) lor lo) (pair (int_bound 0x3FFFFF) (int_bound 0xFFFFF)))
 
+(* A tag is its sequence number: encoding is the identity on the whole
+   range, so tags order exactly as the sequence does. *)
 let prop_tag_round_trip =
   QCheck.Test.make ~name:"tag encode/decode bijection over the full seq range" ~count:500
     wide_seq
     (fun seq ->
-      let at = Key.arrival_tag ~seq and ft = Key.finish_tag ~seq in
-      Key.is_arrival ~tag:at
-      && (not (Key.is_arrival ~tag:ft))
-      && Key.seq_of ~tag:at = seq
-      && Key.seq_of ~tag:ft = seq
-      && at <> ft)
+      Key.finish_tag ~seq = seq
+      && (seq = Key.max_seq || Key.finish_tag ~seq < Key.finish_tag ~seq:(seq + 1)))
 
 let prop_payload_round_trip =
   QCheck.Test.make ~name:"finish payload encode/decode bijection" ~count:500
@@ -99,8 +99,7 @@ let test_key_edges () =
   (* Extremes of every encodable range survive the round trip... *)
   List.iter
     (fun seq ->
-      Alcotest.(check int) "seq" seq (Key.seq_of ~tag:(Key.arrival_tag ~seq));
-      Alcotest.(check int) "seq" seq (Key.seq_of ~tag:(Key.finish_tag ~seq)))
+      Alcotest.(check int) "seq" seq (Key.finish_tag ~seq))
     [ 0; 1; Key.max_seq ];
   List.iter
     (fun (machine, epoch) ->
@@ -115,7 +114,6 @@ let test_key_edges () =
     | _ -> Alcotest.failf "%s accepted an out-of-range value" what
   in
   must_raise "finish_tag" (fun () -> Key.finish_tag ~seq:(Key.max_seq + 1));
-  must_raise "arrival_tag" (fun () -> Key.arrival_tag ~seq:(Key.max_seq + 1));
   must_raise "finish_tag neg" (fun () -> Key.finish_tag ~seq:(-1));
   must_raise "payload machine" (fun () ->
       Key.finish_payload ~machine:(Key.max_machine + 1) ~epoch:0);
@@ -189,6 +187,120 @@ let prop_events_matches_boxed =
             && drain ()
       in
       Array.length evs = Pqueue.Events.size flat && drain ())
+
+(* --- the merged pop: arrival cursor against the completion heap --------- *)
+
+type popped = Arr of int | Fin of int
+
+let pop_all fs ~limit =
+  let rec go acc =
+    if Flat_state.next_event_before fs ~limit then begin
+      let payload = Flat_state.ev_payload fs in
+      let ev =
+        if Flat_state.ev_is_arrival fs then Arr payload else Fin (Key.machine_of ~payload)
+      in
+      go ((ev, Flat_state.clock fs) :: acc)
+    end
+    else List.rev acc
+  in
+  go []
+
+let show_popped l =
+  String.concat " "
+    (List.map
+       (fun (ev, t) ->
+         match ev with
+         | Arr id -> Printf.sprintf "arr%d@%g" id t
+         | Fin i -> Printf.sprintf "fin%d@%g" i t)
+       l)
+
+let test_merged_pop_order () =
+  let fs = Flat_state.of_stream ~machines:(Machine.fleet 2) in
+  Alcotest.(check (float 0.)) "idle next_key" infinity (Flat_state.next_key fs);
+  Alcotest.(check bool) "idle pop" false (Flat_state.next_event_before fs ~limit:infinity);
+  let job id release = Job.create ~id ~release ~sizes:[| 1.; 1. |] () in
+  Flat_state.add_job fs (job 0 1.);
+  Flat_state.add_job fs (job 1 1.);
+  Flat_state.add_job fs (job 2 2.);
+  Alcotest.(check (float 0.)) "next_key = cursor head" 1. (Flat_state.next_key fs);
+  (* Completions scheduled after the arrivals were fed: later sequence
+     numbers, yet each pops before an arrival at the same time. *)
+  Flat_state.push_finish fs ~machine:0 ~time:1.;
+  Flat_state.push_finish fs ~machine:1 ~time:0.5;
+  Flat_state.push_finish fs ~machine:0 ~time:2.;
+  Flat_state.push_finish fs ~machine:1 ~time:2.;
+  Alcotest.(check (float 0.)) "next_key = heap top" 0.5 (Flat_state.next_key fs);
+  Alcotest.(check int) "events pushed" 7 (Flat_state.events_pushed fs);
+  Alcotest.(check string) "bounded drain stops at the horizon" "fin1@0.5"
+    (show_popped (pop_all fs ~limit:0.9));
+  Alcotest.(check (float 0.)) "clock at the last popped key" 0.5 (Flat_state.clock fs);
+  Alcotest.(check (float 0.)) "tie: next_key" 1. (Flat_state.next_key fs);
+  Alcotest.(check string)
+    "completion first at equal keys; arrivals in feed order; completions in tag order"
+    "fin0@1 arr0@1 arr1@1 fin0@2 fin1@2 arr2@2"
+    (show_popped (pop_all fs ~limit:infinity));
+  Alcotest.(check (float 0.)) "drained next_key" infinity (Flat_state.next_key fs)
+
+(* Session.next_key is the smaller of the cursor head's release and the
+   heap top's key, and the loop pops a completion before an arrival at
+   the same time. *)
+let test_session_next_key () =
+  let module S = Driver.Session in
+  let trace = Trace.create () in
+  let s =
+    S.open_session ~trace ~machines:(Machine.fleet 1) Sched_baselines.Greedy_dispatch.spt
+  in
+  let feed id release size = S.feed s (Job.create ~id ~release ~sizes:[| size |] ()) in
+  let key what expect = Alcotest.(check (float 0.)) what expect (S.next_key s) in
+  key "idle" infinity;
+  feed 0 0. 5.;
+  key "cursor only" 0.;
+  S.drain_until s 0.;
+  key "heap only: job 0 finishes at 5" 5.;
+  feed 1 3. 1.;
+  key "cursor below heap" 3.;
+  S.drain_until s 3.;
+  key "heap below empty cursor" 5.;
+  feed 2 5. 1.;
+  feed 3 5. 1.;
+  key "cursor and heap tie" 5.;
+  feed 4 9. 1.;
+  S.drain_until s 5.;
+  (* At 5: job 0 completes and job 1 starts (finishing at 6), then jobs
+     2 and 3 arrive in feed order. *)
+  key "heap below cursor" 6.;
+  let order =
+    List.filter_map
+      (fun (e : Trace.entry) ->
+        match e.Trace.event with
+        | Trace.Complete { job; _ } -> Some (Printf.sprintf "complete%d" job)
+        | Trace.Dispatch { job; _ } when Float.equal e.Trace.time 5. ->
+            Some (Printf.sprintf "dispatch%d" job)
+        | _ -> None)
+      (Trace.events trace)
+  in
+  Alcotest.(check (list string)) "event order at t=5" [ "complete0"; "dispatch2"; "dispatch3" ]
+    order;
+  ignore (S.close s)
+
+(* Rolling retirement feeds and drains one job at a time; the cursor
+   reclaims popped slots, so its backing array never outgrows its first
+   allocation however long the stream runs. *)
+let test_retire_cursor_bounded () =
+  let fs = Flat_state.of_stream ~machines:(Machine.fleet 2) in
+  Flat_state.set_retire fs true;
+  let widest = ref 0 in
+  for id = 0 to 9_999 do
+    let release = float_of_int id in
+    Flat_state.add_job fs (Job.create ~id ~release ~sizes:[| 1.; 2. |] ());
+    if not (Flat_state.next_event_before fs ~limit:release) then
+      Alcotest.failf "job %d did not pop at its release" id;
+    widest := max !widest (Flat_state.arrival_capacity fs)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "cursor capacity %d stays <= 16 over 10^4 jobs" !widest)
+    true (!widest <= 16);
+  Alcotest.(check (float 0.)) "drained" infinity (Flat_state.next_key fs)
 
 (* --- Iheap reproduces Indexed's slot layout exactly ---------------------- *)
 
@@ -293,6 +405,11 @@ let suite =
     qtest prop_key_total_order;
     Alcotest.test_case "-0. keys equal 0. keys" `Quick test_key_negative_zero;
     qtest prop_events_matches_boxed;
+    Alcotest.test_case "merged pop: completions first at equal keys" `Quick test_merged_pop_order;
+    Alcotest.test_case "Session.next_key = min(cursor head, heap top)" `Quick
+      test_session_next_key;
+    Alcotest.test_case "retire: cursor backing array stays bounded" `Quick
+      test_retire_cursor_bounded;
     qtest prop_iheap_layout_identity;
     Alcotest.test_case "Iheap id errors" `Quick test_iheap_errors;
     Alcotest.test_case "pending aggregates pin to zero" `Quick test_pending_zero_pin;

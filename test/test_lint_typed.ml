@@ -178,9 +178,8 @@ let test_hot_annotations_guarded () =
       Alcotest.(check bool) ("driver hot: " ^ name) true (List.mem name driver_hot))
     [ "loop"; "try_start"; "reject_job"; "restart_job"; "cand_mask_boxed"; "cand_count_boxed";
       "popcount";
-      (* The sharded two-phase tick: commit handlers shared with run_flat
-         plus the merge-pop and per-shard proposal scan. *)
-      "commit_arrival"; "commit_finish"; "next_source"; "propose_shard" ];
+      (* The flat core's per-event commit handlers. *)
+      "commit_arrival"; "commit_finish" ];
   let flat_hot =
     RL.Typed_lint.hot_functions_of_cmt
       (cmt "lib/sim/.sched_sim.objs/byte/sched_sim__Flat_state.cmt")
@@ -188,7 +187,9 @@ let test_hot_annotations_guarded () =
   List.iter
     (fun name ->
       Alcotest.(check bool) ("flat_state hot: " ^ name) true (List.mem name flat_hot))
-    [ "clock"; "set_clock"; "pend_add"; "pend_remove"; "next_event"; "lay_segment";
+    [ "clock"; "pend_add"; "pend_remove"; "lay_segment";
+      (* The merged pop over the arrival cursor and the completion heap. *)
+      "next_event_before"; "push_finish"; "ev_is_arrival"; "ev_payload";
       "account_completion"; "account_rejection"; "outcome_completed"; "outcome_rejected";
       (* The flight recorder's dispatch-provenance scans: same-module reads
          so the release build boxes nothing. *)

@@ -2,7 +2,12 @@
    here are the determinism contract the experiments and the bench lean
    on: parallel_map ≡ Array.map for every (size, chunk, domains) choice,
    nested submission is safe and stays on one pool, exceptions surface
-   lowest-input-index-first, and shutdown is orderly. *)
+   lowest-input-index-first, and shutdown is orderly.
+
+   Task bodies never call Alcotest: its checks print through a shared
+   formatter that is not safe to drive from worker domains.  Tasks record
+   what they observe into per-task slots, and the assertions run on the
+   submitting domain after the region. *)
 
 module Pool = Sched_stats.Pool
 
@@ -40,7 +45,9 @@ let test_empty_singleton () =
   Pool.with_pool ~domains:4 (fun pool ->
       Alcotest.(check (array int)) "empty" [||] (Pool.parallel_map pool mix [||]);
       Alcotest.(check (array int)) "singleton" [| mix 5 |] (Pool.parallel_map pool mix [| 5 |]);
-      Pool.parallel_for pool 0 (fun _ -> Alcotest.fail "parallel_for 0 must not call f"))
+      let called = Array.make 1 false in
+      Pool.parallel_for pool 0 (fun _ -> called.(0) <- true);
+      Alcotest.(check bool) "parallel_for 0 does not call f" false called.(0))
 
 let test_uneven_work_ordered () =
   let a = Array.init 64 (fun i -> i) in
@@ -66,19 +73,23 @@ let test_nested_submission () =
   List.iter
     (fun domains ->
       Pool.with_pool ~domains (fun pool ->
+          let ambient_size = Array.make 8 0 in
           let got =
             Pool.parallel_map pool
               (fun i ->
                 (* Inner region without an explicit pool: must resolve to
                    the ambient pool, i.e. the enclosing one. *)
-                Alcotest.(check int)
-                  (Printf.sprintf "ambient size inside task (domains=%d)" domains)
-                  domains
-                  (Pool.size (Pool.ambient ()));
+                ambient_size.(i) <- Pool.size (Pool.ambient ());
                 Sched_stats.Parallel.map_array (fun j -> mix ((i * 16) + j))
                   (Array.init 16 (fun j -> j)))
               (Array.init 8 (fun i -> i))
           in
+          Array.iteri
+            (fun i size ->
+              Alcotest.(check int)
+                (Printf.sprintf "ambient size inside task %d (domains=%d)" i domains)
+                domains size)
+            ambient_size;
           Alcotest.(check bool) (Printf.sprintf "nested ≡ sequential (domains=%d)" domains)
             true (got = expected)))
     [ 1; 2; 4 ]
@@ -100,10 +111,10 @@ let test_deep_nesting () =
       in
       Alcotest.(check bool) "three levels deep" true (got = expected))
 
-(* Nested shard regions, the sharded driver's shape: run_shards from
+(* Nested one-task-per-index regions: parallel_for ~chunk_size:1 from
    inside pool tasks at widths 1/2/4 must complete (no deadlock — the
-   submitter helps drain the queue), touch each shard index exactly
-   once, and validate its width. *)
+   submitter helps drain the queue) and touch each shard index exactly
+   once. *)
 let test_nested_shard_regions () =
   List.iter
     (fun domains ->
@@ -112,7 +123,7 @@ let test_nested_shard_regions () =
           Pool.with_pool ~domains (fun pool ->
               let hits = Array.init 6 (fun _ -> Array.make shards 0) in
               Pool.parallel_for pool 6 (fun task ->
-                  Pool.run_shards (Pool.ambient ()) ~shards (fun s ->
+                  Pool.parallel_for ~chunk_size:1 (Pool.ambient ()) shards (fun s ->
                       hits.(task).(s) <- hits.(task).(s) + mix ((task * shards) + s)));
               let expected =
                 Array.init 6 (fun task -> Array.init shards (fun s -> mix ((task * shards) + s)))
@@ -122,15 +133,6 @@ let test_nested_shard_regions () =
                 true (hits = expected)))
         [ 1; 2; 4 ])
     [ 1; 2; 4 ]
-
-let test_run_shards_validates_width () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      List.iter
-        (fun shards ->
-          match Pool.run_shards pool ~shards (fun _ -> ()) with
-          | () -> Alcotest.failf "shards=%d accepted" shards
-          | exception Invalid_argument _ -> ())
-        [ 0; -1 ])
 
 let test_create_validates_width () =
   List.iter
@@ -211,7 +213,6 @@ let suite =
     Alcotest.test_case "nested submission shares the pool" `Quick test_nested_submission;
     Alcotest.test_case "deep nesting" `Quick test_deep_nesting;
     Alcotest.test_case "nested shard regions (widths 1/2/4)" `Quick test_nested_shard_regions;
-    Alcotest.test_case "run_shards validates width" `Quick test_run_shards_validates_width;
     Alcotest.test_case "create validates width" `Quick test_create_validates_width;
     Alcotest.test_case "lowest-index exception wins" `Quick test_lowest_index_exception;
     Alcotest.test_case "nested exception propagates" `Quick test_nested_exception_propagates;
