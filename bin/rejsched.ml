@@ -151,8 +151,7 @@ let run_cmd =
                    schema-tagged object per event), or to stdout when FILE is '-'.")
   in
   let action policy workload n m seed eps csv gantt svg load swf save segments sizes telemetry
-      trace_ndjson domains impl =
-    apply_domains domains;
+      trace_ndjson impl =
     apply_impl impl;
     let gen = apply_sizes (workload_of_name ~n ~m workload) sizes in
     let inst =
@@ -236,7 +235,7 @@ let run_cmd =
     Term.(
       const action $ policy_arg $ workload_arg $ n_arg $ m_arg $ seed_arg $ eps_arg $ csv_arg
       $ gantt_arg $ svg_arg $ load_arg $ swf_arg $ save_arg $ segments_arg $ sizes_arg
-      $ telemetry_arg $ trace_ndjson_arg $ domains_arg $ impl_arg)
+      $ telemetry_arg $ trace_ndjson_arg $ impl_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one policy on one synthetic workload and print its metrics.") term
 

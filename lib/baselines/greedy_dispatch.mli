@@ -8,9 +8,13 @@
 
 open Sched_sim
 
-val fifo : unit Driver.policy
+type state
+(** Per-run dispatch scratch (the argmin's cost cells), created by the
+    policy's [init]. *)
+
+val fifo : state Driver.policy
 (** First-in-first-out service order. *)
 
-val spt : unit Driver.policy
+val spt : state Driver.policy
 (** Shortest-processing-time service order (the paper's service order
     without the rejection rules). *)

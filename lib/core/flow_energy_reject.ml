@@ -18,54 +18,119 @@ type state = {
   mutable v : float array;  (** Weight counters of running jobs, by job id. *)
   mutable lambda : float array;
   mutable rej : int;
+  (* Dispatch scratch, reused by every arrival so the argmin allocates
+     nothing: the pending-plus-j set of the machine being priced and the
+     merge sort's second buffer, the float cells below, and the argmin. *)
+  mutable buf : Job.t array;
+  mutable tmp : Job.t array;
+  f : float array;
+  mutable best_i : int;
 }
 
-(* Density order: higher w/p first, ties by earlier release then id. *)
+(* Slots of [state.f] (a [mutable float] field would box on every write). *)
+let f_prefix = 0 (* W_l: prefix weight through the current job; W_j once j is passed *)
+let f_upto = 1 (* sum_{l <= j} p_il / (gamma W_l^(1/alpha)) *)
+let f_after_w = 2 (* sum_{l > j} w_l *)
+let f_cost = 3 (* cost of the machine just priced *)
+let f_best = 4 (* smallest cost so far: lambda_ij at the argmin once a scan ends *)
+
+(* Density order: higher w/p first, ties by earlier release then id.  A
+   strict total order (ids are unique), so any correct sort of a set
+   yields the one sequence.  Sizes are field reads of the job's row, so no
+   float crosses a call. *)
 let precede i (a : Job.t) (b : Job.t) =
-  let da = a.weight /. Job.size a i and db = b.weight /. Job.size b i in
+  let da = a.weight /. a.Job.sizes.(i) and db = b.weight /. b.Job.sizes.(i) in
   if da <> db then da > db
   else if a.release <> b.release then a.release < b.release
   else a.id < b.id
 
+(* Cold: the scratch buffers grow only when a queue outgrows every queue
+   seen before; [j] is just the fill value. *)
+let grow_buf st (j : Job.t) k =
+  st.buf <- Array.make (max 16 (2 * k)) j;
+  st.tmp <- Array.make (max 16 (2 * k)) j
+
+(* A bottom-up merge sort by [precede], allocation-free over the two
+   scratch buffers.  [merge] joins the sorted runs [src.(a..mid-1)] and
+   [src.(b..hi-1)] into [dst] from slot [d]; [merge_pass] merges every
+   adjacent pair of [width]-runs of [src.(0..k-1)]; [sort_runs] doubles
+   the width until one run is left and returns the buffer holding it. *)
+let[@rejlint.hot] rec merge i (src : Job.t array) (dst : Job.t array) a mid b hi d =
+  if a < mid && (b >= hi || precede i src.(a) src.(b)) then begin
+    dst.(d) <- src.(a);
+    merge i src dst (a + 1) mid b hi (d + 1)
+  end
+  else if b < hi then begin
+    dst.(d) <- src.(b);
+    merge i src dst a mid (b + 1) hi (d + 1)
+  end
+
+let[@rejlint.hot] rec merge_pass i src dst width lo k =
+  if lo < k then begin
+    let mid = Int.min k (lo + width) and hi = Int.min k (lo + (2 * width)) in
+    merge i src dst lo mid mid hi lo;
+    merge_pass i src dst width hi k
+  end
+
+let[@rejlint.hot] rec sort_runs i src dst width k =
+  if width >= k then src
+  else begin
+    merge_pass i src dst width 0 k;
+    sort_runs i dst src (2 * width) k
+  end
+
+let[@rejlint.hot] rec slot_of (seq : Job.t array) id s =
+  if seq.(s).Job.id = id then s else slot_of seq id (s + 1)
+
 (* lambda_ij over the density-sorted pending-plus-j sequence, using prefix
-   weights W_l (inclusive of l). *)
-let lambda_ij st i (j : Job.t) pending =
+   weights W_l (inclusive of l).  [precede] is a strict total order, so
+   the sorted sequence — and with it every prefix sum — is the one any
+   correct sort gives, a list sort included.  Writes the cost to
+   [f_cost]. *)
+let[@rejlint.hot] lambda_ij st view i (j : Job.t) =
   let alpha = (Instance.machine st.instance i).Machine.alpha in
   let gamma = st.gammas.(i) in
   let eps = st.cfg.eps in
-  let seq = List.sort (fun a b -> if precede i a b then -1 else 1) (j :: pending) in
-  let prefix = ref 0. in
-  let upto_j = ref 0. (* sum_{l <= j} p_il / (gamma W_l^(1/alpha)) *)
-  and after_w = ref 0. (* sum_{l > j} w_l *)
-  and wj_prefix = ref 0. (* W_j *)
-  and passed_j = ref false in
-  List.iter
-    (fun (l : Job.t) ->
-      prefix := !prefix +. l.weight;
-      if !passed_j then after_w := !after_w +. l.weight
-      else begin
-        upto_j := !upto_j +. (Job.size l i /. (gamma *. (!prefix ** (1. /. alpha))));
-        if l.id = j.id then begin
-          passed_j := true;
-          wj_prefix := !prefix
-        end
-      end)
-    seq;
-  let pij = Job.size j i in
-  (j.weight *. ((pij /. eps) +. !upto_j))
-  +. (!after_w *. pij /. (gamma *. (!wj_prefix ** (1. /. alpha))))
+  if Driver.pending_count view i >= Array.length st.buf then
+    (grow_buf st j (Driver.pending_count view i + 1) [@rejlint.cold]);
+  let k = Driver.pending_into view i st.buf in
+  st.buf.(k) <- j;
+  let buf = sort_runs i st.buf st.tmp 1 (k + 1) in
+  let pos_j = slot_of buf j.Job.id 0 in
+  let f = st.f in
+  f.(f_prefix) <- 0.;
+  f.(f_upto) <- 0.;
+  f.(f_after_w) <- 0.;
+  for s = 0 to pos_j do
+    let l = buf.(s) in
+    f.(f_prefix) <- f.(f_prefix) +. l.weight;
+    f.(f_upto) <- f.(f_upto) +. (l.Job.sizes.(i) /. (gamma *. (f.(f_prefix) ** (1. /. alpha))))
+  done;
+  for s = pos_j + 1 to k do
+    f.(f_after_w) <- f.(f_after_w) +. buf.(s).weight
+  done;
+  let pij = j.Job.sizes.(i) in
+  f.(f_cost) <-
+    (j.weight *. ((pij /. eps) +. f.(f_upto)))
+    +. (f.(f_after_w) *. pij /. (gamma *. (f.(f_prefix) ** (1. /. alpha))))
 
-let argmin_machine instance (j : Job.t) cost =
-  let best = ref None in
-  for i = 0 to Instance.m instance - 1 do
-    if Job.eligible j i then begin
-      let c = cost i in
-      match !best with
-      | Some (_, c') when c' <= c -> ()
-      | _ -> best := Some (i, c)
+(* Argmin over eligible machines in ascending order; a later machine
+   replaces the best only when [not (best <= cost)], so ties go to the
+   smallest machine id.  Leaves the machine in [best_i] and its lambda in
+   [f_best]. *)
+let[@rejlint.hot] argmin_lambda st view (j : Job.t) =
+  let f = st.f in
+  st.best_i <- -1;
+  for i = 0 to Array.length j.Job.sizes - 1 do
+    if Float.is_finite j.Job.sizes.(i) then begin
+      lambda_ij st view i j;
+      if st.best_i < 0 || not (f.(f_best) <= f.(f_cost)) then begin
+        st.best_i <- i;
+        f.(f_best) <- f.(f_cost)
+      end
     end
   done;
-  match !best with Some ic -> ic | None -> assert false
+  assert (st.best_i >= 0)
 
 let init cfg instance =
   let n = Instance.n instance in
@@ -77,7 +142,18 @@ let init cfg instance =
         | None -> Bounds.gamma_best ~eps:cfg.eps ~alpha:mc.Machine.alpha)
       (Array.init (Instance.m instance) (Instance.machine instance))
   in
-  { cfg; instance; gammas; v = Array.make n 0.; lambda = Array.make n 0.; rej = 0 }
+  {
+    cfg;
+    instance;
+    gammas;
+    v = Array.make n 0.;
+    lambda = Array.make n 0.;
+    rej = 0;
+    buf = [||];
+    tmp = [||];
+    f = Array.make 5 0.;
+    best_i = -1;
+  }
 
 (* Streaming sessions init with zero jobs; the per-job columns grow on
    first sight of a larger id (batch runs pre-size to n). *)
@@ -93,12 +169,11 @@ let ensure st id =
     st.lambda <- nl
   end
 
-(* The sequential tail of [on_arrival]: fix the dual variable and apply
-   the weighted Rule 1, kept apart from the argmin so a dispatch kernel
-   can reuse the split. *)
-let commit st view (j : Job.t) ~target ~best =
+(* The sequential tail of [on_arrival]: fix the dual variable from the
+   argmin's [f_best] and apply the weighted Rule 1. *)
+let commit st view (j : Job.t) ~target =
   ensure st j.id;
-  st.lambda.(j.id) <- st.cfg.eps /. (1. +. st.cfg.eps) *. best;
+  st.lambda.(j.id) <- st.cfg.eps /. (1. +. st.cfg.eps) *. st.f.(f_best);
   let rejections = ref [] in
   (match Driver.running_on view target with
   | Some r ->
@@ -112,10 +187,8 @@ let commit st view (j : Job.t) ~target ~best =
   { Driver.dispatch_to = target; reject = !rejections; restart = [] }
 
 let on_arrival st view (j : Job.t) =
-  let target, best =
-    argmin_machine st.instance j (fun i -> lambda_ij st i j (Driver.pending view i))
-  in
-  commit st view j ~target ~best
+  argmin_lambda st view j;
+  commit st view j ~target:st.best_i
 
 let select st view i =
   match Driver.pending_densest view i with

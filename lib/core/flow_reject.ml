@@ -11,7 +11,6 @@ let config ?(rule1 = true) ?(rule2 = true) ?(dispatch = Dual_lambda) ~eps () =
 
 type state = {
   cfg : config;
-  instance : Instance.t;
   eps_eff : float;
       (** The effective epsilon [1 / ceil(1/eps)]: integer counters cannot
           trip at a fractional [1/eps], so the algorithm {e is} the paper's
@@ -25,42 +24,89 @@ type state = {
   mutable lambda : float array;  (** Dual variables, indexed by job id. *)
   mutable rej1 : int;
   mutable rej2 : int;
+  (* Dispatch scratch, reused by every arrival so the argmin allocates
+     nothing: the pending set of the machine being priced, the float
+     cells below, the count of pending jobs after [j], and the argmin. *)
+  mutable buf : Job.t array;
+  f : float array;
+  mutable after : int;
+  mutable best_i : int;
 }
 
+(* Slots of [state.f].  A [mutable float] field would be boxed on every
+   write; one flat float array keeps the scan's accumulators unboxed. *)
+let f_before = 0 (* sum of p_il over the pending jobs that precede j *)
+let f_cost = 1 (* cost of the machine just priced *)
+let f_best = 2 (* smallest cost so far: lambda_ij at the argmin once a scan ends *)
+
 (* The paper's order on the pending set of a fixed machine: shorter
-   processing time first, ties by earlier release, then smaller id. *)
+   processing time first, ties by earlier release, then smaller id.
+   Sizes are field reads of the job's row, so no float crosses a call. *)
 let precede i (a : Job.t) (b : Job.t) =
-  let pa = Job.size a i and pb = Job.size b i in
+  let pa = a.Job.sizes.(i) and pb = b.Job.sizes.(i) in
   if pa <> pb then pa < pb
   else if a.release <> b.release then a.release < b.release
   else a.id < b.id
 
+(* Cold: the scratch buffer grows only when a queue outgrows every queue
+   seen before; [j] is just the fill value. *)
+let grow_buf st (j : Job.t) k = st.buf <- Array.make (max 16 (2 * k)) j
+
 (* lambda_ij = (1/eps) p_ij + sum_{l <= j} p_il + sum_{l > j} p_ij, where l
    ranges over the pending set of machine i plus j itself ("l <= j" includes
    l = j, contributing p_ij).  The pending set does not yet contain j; one
-   allocation-free pass suffices, no sort. *)
-let lambda_ij eps view i (j : Job.t) =
-  let pij = Job.size j i in
-  let before = ref 0. and after = ref 0 in
-  Driver.pending_iter view i (fun (l : Job.t) ->
-      if precede i l j then before := !before +. Job.size l i else incr after);
-  (pij /. eps) +. !before +. pij +. (float_of_int !after *. pij)
+   pass over the buffered pending set suffices, no sort.  Writes the cost
+   to [f_cost]. *)
+let[@rejlint.hot] lambda_ij st view i (j : Job.t) =
+  let pij = j.Job.sizes.(i) in
+  if Driver.pending_count view i > Array.length st.buf then
+    (grow_buf st j (Driver.pending_count view i) [@rejlint.cold]);
+  let k = Driver.pending_into view i st.buf in
+  let f = st.f in
+  f.(f_before) <- 0.;
+  st.after <- 0;
+  for s = 0 to k - 1 do
+    let l = st.buf.(s) in
+    if precede i l j then f.(f_before) <- f.(f_before) +. l.Job.sizes.(i)
+    else st.after <- st.after + 1
+  done;
+  f.(f_cost) <- (pij /. st.eps_eff) +. f.(f_before) +. pij +. (float_of_int st.after *. pij)
 
-let greedy_load_cost view i (j : Job.t) =
-  Driver.remaining_time view i +. Driver.pending_work view i +. Job.size j i
-
-(* Argmin over eligible machines; deterministic tie-break on machine id. *)
-let argmin_machine instance (j : Job.t) cost =
-  let best = ref None in
-  for i = 0 to Instance.m instance - 1 do
-    if Job.eligible j i then begin
-      let c = cost i in
-      match !best with
-      | Some (_, c') when c' <= c -> ()
-      | _ -> best := Some (i, c)
+(* Argmin of lambda_ij over eligible machines, in ascending machine order;
+   a later machine replaces the best only on a strictly smaller cost (or
+   an incomparable one, as the boxed [c' <= c] test read), so ties go to
+   the smallest machine id.  Leaves the machine in [best_i] and its
+   lambda in [f_best]. *)
+let[@rejlint.hot] argmin_lambda st view (j : Job.t) =
+  let f = st.f in
+  st.best_i <- -1;
+  for i = 0 to Array.length j.Job.sizes - 1 do
+    if Float.is_finite j.Job.sizes.(i) then begin
+      lambda_ij st view i j;
+      if st.best_i < 0 || not (f.(f_best) <= f.(f_cost)) then begin
+        st.best_i <- i;
+        f.(f_best) <- f.(f_cost)
+      end
     end
   done;
-  match !best with Some ic -> ic | None -> assert false
+  assert (st.best_i >= 0)
+
+(* The same argmin over the greedy completion-time estimate
+   (remaining work + pending work + p_ij). *)
+let[@rejlint.hot] argmin_load st view (j : Job.t) =
+  let f = st.f in
+  st.best_i <- -1;
+  for i = 0 to Array.length j.Job.sizes - 1 do
+    let p = j.Job.sizes.(i) in
+    if Float.is_finite p then begin
+      f.(f_cost) <- Driver.remaining_time view i +. Driver.pending_work view i +. p;
+      if st.best_i < 0 || not (f.(f_best) <= f.(f_cost)) then begin
+        st.best_i <- i;
+        f.(f_best) <- f.(f_cost)
+      end
+    end
+  done;
+  assert (st.best_i >= 0)
 
 let largest_pending view i (j_new : Job.t) =
   (* Largest-processing-time job among the pending set (the just-dispatched
@@ -75,7 +121,6 @@ let init cfg instance =
   let inv = Float.ceil (1. /. cfg.eps) in
   {
     cfg;
-    instance;
     eps_eff = 1. /. inv;
     thr1 = int_of_float inv;
     thr2 = int_of_float inv + 1;
@@ -84,6 +129,10 @@ let init cfg instance =
     lambda = Array.make n 0.;
     rej1 = 0;
     rej2 = 0;
+    buf = [||];
+    f = Array.make 3 0.;
+    after = 0;
+    best_i = -1;
   }
 
 (* Streaming sessions init with zero jobs and reveal ids as they arrive;
@@ -101,13 +150,12 @@ let ensure st id =
     st.lambda <- nl
   end
 
-(* The sequential tail of [on_arrival]: fix the dual variable and apply
-   the rejection rules, given the argmin machine and its lambda.  Kept
-   apart from the argmin so a dispatch kernel can reuse the split. *)
-let commit st view (j : Job.t) ~target ~best_lambda =
+(* The sequential tail of [on_arrival]: fix the dual variable from the
+   lambda argmin's [f_best] and apply the rejection rules. *)
+let commit st view (j : Job.t) ~target =
   ensure st j.id;
   let eps = st.eps_eff in
-  st.lambda.(j.id) <- eps /. (1. +. eps) *. best_lambda;
+  st.lambda.(j.id) <- eps /. (1. +. eps) *. st.f.(f_best);
   (* Rejection Rule 1: bump the running job's counter. *)
   st.c.(target) <- st.c.(target) + 1;
   let rejections = ref [] in
@@ -130,17 +178,20 @@ let commit st view (j : Job.t) ~target ~best_lambda =
   { Driver.dispatch_to = target; reject = List.rev !rejections; restart = [] }
 
 let on_arrival st view (j : Job.t) =
-  let eps = st.eps_eff in
-  let target, best_lambda =
+  let target =
     match st.cfg.dispatch with
-    | Dual_lambda -> argmin_machine st.instance j (fun i -> lambda_ij eps view i j)
+    | Dual_lambda ->
+        argmin_lambda st view j;
+        st.best_i
     | Greedy_load ->
-        let i, _ = argmin_machine st.instance j (fun i -> greedy_load_cost view i j) in
+        argmin_load st view j;
+        let target = st.best_i in
         (* The dual variable is defined from lambda_ij regardless of how we
            dispatched, so the instrumentation stays meaningful in E8. *)
-        (i, snd (argmin_machine st.instance j (fun i -> lambda_ij eps view i j)))
+        argmin_lambda st view j;
+        target
   in
-  commit st view j ~target ~best_lambda
+  commit st view j ~target
 
 let select st view i =
   match Driver.pending_shortest view i with

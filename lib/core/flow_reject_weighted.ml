@@ -10,16 +10,28 @@ let config ?(rule1 = true) ?(rule2 = true) ~eps () =
 
 type state = {
   cfg : config;
-  instance : Instance.t;
   mutable v : float array;  (** Weight accumulated against the running job. *)
   c : float array;  (** Weight accumulated per machine since last reset. *)
   mutable rej1 : int;
   mutable rej2 : int;
+  (* Dispatch scratch, reused by every arrival so the argmin allocates
+     nothing: the pending set of the machine being priced, the float
+     cells below, and the argmin. *)
+  mutable buf : Job.t array;
+  f : float array;
+  mutable best_i : int;
 }
 
-(* Highest density first; ties by release then id. *)
+(* Slots of [state.f] (a [mutable float] field would box on every write). *)
+let f_before = 0 (* sum of p_il over the pending jobs that precede j *)
+let f_after_w = 1 (* sum of w_l over the pending jobs after j *)
+let f_cost = 2 (* cost of the machine just priced *)
+let f_best = 3 (* smallest cost so far *)
+
+(* Highest density first; ties by release then id.  Sizes are field reads
+   of the job's row, so no float crosses a call. *)
 let precede i (a : Job.t) (b : Job.t) =
-  let da = a.weight /. Job.size a i and db = b.weight /. Job.size b i in
+  let da = a.weight /. a.Job.sizes.(i) and db = b.weight /. b.Job.sizes.(i) in
   if da <> db then da > db
   else if a.release <> b.release then a.release < b.release
   else a.id < b.id
@@ -36,33 +48,55 @@ let largest_pending view i (j_new : Job.t) =
   | None -> j_new
   | Some w -> if bigger w j_new then w else j_new
 
-let lambda_ij eps view i (j : Job.t) =
-  let pij = Job.size j i in
-  let before = ref 0. and after_w = ref 0. in
-  Driver.pending_iter view i (fun (l : Job.t) ->
-      if precede i l j then before := !before +. Job.size l i else after_w := !after_w +. l.weight);
-  (j.weight *. ((pij /. eps) +. !before +. pij)) +. (!after_w *. pij)
+(* Cold: the scratch buffer grows only when a queue outgrows every queue
+   seen before; [j] is just the fill value. *)
+let grow_buf st (j : Job.t) k = st.buf <- Array.make (max 16 (2 * k)) j
 
-let argmin_machine instance (j : Job.t) cost =
-  let best = ref None in
-  for i = 0 to Instance.m instance - 1 do
-    if Job.eligible j i then begin
-      let c = cost i in
-      match !best with
-      | Some (_, c') when c' <= c -> ()
-      | _ -> best := Some (i, c)
+(* The weighted lambda_ij over the buffered pending set; writes the cost
+   to [f_cost]. *)
+let[@rejlint.hot] lambda_ij st view i (j : Job.t) =
+  let eps = st.cfg.eps in
+  let pij = j.Job.sizes.(i) in
+  if Driver.pending_count view i > Array.length st.buf then
+    (grow_buf st j (Driver.pending_count view i) [@rejlint.cold]);
+  let k = Driver.pending_into view i st.buf in
+  let f = st.f in
+  f.(f_before) <- 0.;
+  f.(f_after_w) <- 0.;
+  for s = 0 to k - 1 do
+    let l = st.buf.(s) in
+    if precede i l j then f.(f_before) <- f.(f_before) +. l.Job.sizes.(i)
+    else f.(f_after_w) <- f.(f_after_w) +. l.weight
+  done;
+  f.(f_cost) <- (j.weight *. ((pij /. eps) +. f.(f_before) +. pij)) +. (f.(f_after_w) *. pij)
+
+(* Argmin over eligible machines in ascending order; a later machine
+   replaces the best only when [not (best <= cost)], so ties go to the
+   smallest machine id.  Leaves the machine in [best_i]. *)
+let[@rejlint.hot] argmin_lambda st view (j : Job.t) =
+  let f = st.f in
+  st.best_i <- -1;
+  for i = 0 to Array.length j.Job.sizes - 1 do
+    if Float.is_finite j.Job.sizes.(i) then begin
+      lambda_ij st view i j;
+      if st.best_i < 0 || not (f.(f_best) <= f.(f_cost)) then begin
+        st.best_i <- i;
+        f.(f_best) <- f.(f_cost)
+      end
     end
   done;
-  match !best with Some (i, _) -> i | None -> assert false
+  assert (st.best_i >= 0)
 
 let init cfg instance =
   {
     cfg;
-    instance;
     v = Array.make (Instance.n instance) 0.;
     c = Array.make (Instance.m instance) 0.;
     rej1 = 0;
     rej2 = 0;
+    buf = [||];
+    f = Array.make 4 0.;
+    best_i = -1;
   }
 
 (* Streaming sessions init with zero jobs; the per-job counters grow on
@@ -103,8 +137,8 @@ let commit st view (j : Job.t) ~target =
   { Driver.dispatch_to = target; reject = List.rev !rejections; restart = [] }
 
 let on_arrival st view (j : Job.t) =
-  let target = argmin_machine st.instance j (fun i -> lambda_ij st.cfg.eps view i j) in
-  commit st view j ~target
+  argmin_lambda st view j;
+  commit st view j ~target:st.best_i
 
 let select st view i =
   match Driver.pending_densest view i with

@@ -217,7 +217,11 @@ let remaining_volume v i =
         Float.max 0.
           ((Flat_state.run_finish fs i -. Flat_state.clock fs) *. Flat_state.run_rate fs i)
 
-let remaining_time v i =
+(* [@inline] here and on [pending_work]: greedy dispatch prices every
+   machine with these two, and only an inlined call keeps the float
+   result unboxed (the release build; dev's [-opaque] inlines nothing
+   across modules). *)
+let[@inline] remaining_time v i =
   match v with
   | V_boxed st -> (
       match st.machines.(i).m_running with
@@ -238,17 +242,25 @@ let pending v i =
       Flat_state.pend_iter fs i ~f:(fun id -> acc := Flat_state.job fs id :: !acc);
       List.rev !acc
 
-let pending_iter v i f =
+let pending_into v i buf =
   match v with
-  | V_boxed st -> Pqueue.Indexed.iter st.machines.(i).m_pend.by_spt ~f:(fun _ j () -> f j)
-  | V_flat fs -> Flat_state.pend_iter fs i ~f:(fun id -> f (Flat_state.job fs id))
+  | V_boxed st ->
+      let q = st.machines.(i).m_pend.by_spt in
+      if Pqueue.Indexed.size q > Array.length buf then
+        invalid_arg
+          (Printf.sprintf "Driver.pending_into: %d pending jobs, buffer holds %d"
+             (Pqueue.Indexed.size q) (Array.length buf));
+      Pqueue.Indexed.fold q ~init:0 ~f:(fun k _ j () ->
+          buf.(k) <- j;
+          k + 1)
+  | V_flat fs -> Flat_state.pend_into fs i buf
 
 let pending_count v i =
   match v with
   | V_boxed st -> pend_count st.machines.(i).m_pend
   | V_flat fs -> Flat_state.pend_count fs i
 
-let pending_work v i =
+let[@inline] pending_work v i =
   match v with
   | V_boxed st -> st.machines.(i).m_pend.p_work
   | V_flat fs -> Flat_state.pend_work fs i
@@ -364,20 +376,17 @@ let record st ev = match st.trace with None -> () | Some tr -> Trace.record tr s
 (* Decision provenance for the flight recorder: the candidate machine
    set behind each dispatch, as a count and an eligibility bitmask (bit
    [i] for machine [i] up to 61; machines beyond that saturate into bit
-   62).  One int-only O(m) scan per query, with no per-run table setup.
-   The boxed core scans here; the flat core uses [Flat_state.cand_mask]/
-   [cand_count], which live next to the size column so the recursive
-   probes are direct array reads (calls inside recursive bodies are
-   never inlined, so a cross-module float accessor would box). *)
-let[@rejlint.hot] rec cand_mask_boxed (j : Job.t) m k acc =
+   62).  One int-only O(m) scan of the job's size row per query, with no
+   per-run table setup; both cores call it. *)
+let[@rejlint.hot] rec cand_mask (j : Job.t) m k acc =
   if k >= m then acc
   else
-    cand_mask_boxed j m (k + 1)
+    cand_mask j m (k + 1)
       (if Job.eligible j k then acc lor (1 lsl (if k <= 61 then k else 62)) else acc)
 
-let[@rejlint.hot] rec cand_count_boxed (j : Job.t) m k acc =
+let[@rejlint.hot] rec cand_count (j : Job.t) m k acc =
   if k >= m then acc
-  else cand_count_boxed j m (k + 1) (if Job.eligible j k then acc + 1 else acc)
+  else cand_count j m (k + 1) (if Job.eligible j k then acc + 1 else acc)
 
 (* Kernighan popcount: when [m <= 62] no mask bit is shared, so the
    candidate count is the mask's popcount and the second eligibility
@@ -736,8 +745,8 @@ let run_boxed ?trace ?obs ?recorder ?(check = false) policy instance =
                       let r = (ru.finish -. st.clock) *. ru.rate in
                       if r > 0. then r else 0.
                 in
-                let mask = cand_mask_boxed j m 0 0 in
-                let cands = if m <= 62 then popcount mask 0 else cand_count_boxed j m 0 0 in
+                let mask = cand_mask j m 0 0 in
+                let cands = if m <= 62 then popcount mask 0 else cand_count j m 0 0 in
                 let s = Rec.reserve_dispatch rc ~job:j.id ~machine:i ~cands ~mask in
                 rc.Rec.floats.(s + Rec.o_time) <- st.clock;
                 rc.Rec.floats.(s + Rec.o_value) <- work;
@@ -806,17 +815,15 @@ let make_flat_handlers ?trace ?recorder ~instr fs policy pstate vw =
       if not (Flat_state.pend_remove fs i id) then
         (invalid_arg (Printf.sprintf "Driver: job %d not pending" id) [@rejlint.cold]);
       Flat_state.set_loc fs id Flat_state.loc_settled;
+      (* Read while the job is live: under rolling retirement its outcome
+         drops the handle, and with it the size row. *)
+      let size = Flat_state.size fs ~machine:i ~job:id in
       (match trace with
       | None -> ()
       | Some tr ->
           (Trace.record tr t
-             (Trace.Reject
-                {
-                  job = id;
-                  machine = i;
-                  was_running = false;
-                  remaining = Flat_state.size fs ~machine:i ~job:id;
-                }) [@rejlint.cold]));
+             (Trace.Reject { job = id; machine = i; was_running = false; remaining = size })
+          [@rejlint.cold]));
       (match instr with
       | None -> ()
       | Some ins ->
@@ -831,7 +838,7 @@ let make_flat_handlers ?trace ?recorder ~instr fs policy pstate vw =
           let s = Rec.reserve_reject rc ~job:id ~machine:i ~was_running:false
               ~rejected:(Flat_state.rejected fs) in
           rc.Rec.floats.(s + Rec.o_time) <- t;
-          rc.Rec.floats.(s + Rec.o_value) <- Flat_state.size fs ~machine:i ~job:id;
+          rc.Rec.floats.(s + Rec.o_value) <- size;
           rc.Rec.floats.(s + Rec.o_budget) <- Flat_state.rej_weight fs);
       i
     end
@@ -971,8 +978,8 @@ let make_flat_handlers ?trace ?recorder ~instr fs policy pstate vw =
         (match recorder with
         | None -> ()
         | Some rc ->
-            let mask = Flat_state.cand_mask fs ~job:id in
-            let cands = if m <= 62 then popcount mask 0 else Flat_state.cand_count fs ~job:id in
+            let mask = cand_mask j m 0 0 in
+            let cands = if m <= 62 then popcount mask 0 else cand_count j m 0 0 in
             let s = Rec.reserve_dispatch rc ~job:id ~machine:i ~cands ~mask in
             let work = Flat_state.pend_work fs i in
             let rem =

@@ -25,7 +25,10 @@
     dispatch, start and arbitrary-id rejection are all O(log k) in the queue
     length; aggregate pending work/weight are maintained incrementally and
     read in O(1).  Policies should use the [pending_*] accessors below
-    rather than scanning {!pending}.
+    rather than scanning {!pending}; a policy that must visit every
+    pending job (a per-machine cost over the queue) copies it into a
+    buffer it owns with {!pending_into}, which on the flat core allocates
+    nothing.
 
     The driver ships two interchangeable cores (see {!impl}): the boxed
     original and a struct-of-arrays rewrite ({!Flat_state}, the default)
@@ -76,9 +79,13 @@ val pending : view -> Machine.id -> Job.t list
     deterministic for a given run history but otherwise unspecified; do not
     rely on it.  O(k) — prefer the indexed accessors below in hot paths. *)
 
-val pending_iter : view -> Machine.id -> (Job.t -> unit) -> unit
-(** Iterates the pending set without materializing a list (same
-    deterministic-but-unspecified order as {!pending}). *)
+val pending_into : view -> Machine.id -> Job.t array -> int
+(** [pending_into v i buf] copies the pending set into [buf.(0)] ..
+    [buf.(k-1)] and returns [k], in the same
+    deterministic-but-unspecified order as {!pending} — float folds over
+    the buffer keep their operation order from run to run.  The caller
+    owns and sizes [buf] (at least {!pending_count} slots; shorter raises
+    [Invalid_argument]).  Allocation-free on the flat core. *)
 
 val pending_count : view -> Machine.id -> int
 (** O(1). *)

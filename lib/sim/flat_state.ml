@@ -16,7 +16,7 @@ open Sched_model
    float expression below copies the boxed code's operation order
    verbatim (float addition is not associative), the pending heaps
    replicate [Pqueue.Indexed]'s slot layout (policies fold floats over
-   [pending_iter]'s heap-array order), and the aggregate work/weight
+   [pending_into]'s heap-array order), and the aggregate work/weight
    sums are pinned back to exactly [0.] when a queue empties, as the
    boxed [pend] does. *)
 
@@ -68,27 +68,24 @@ type t = {
          until [set_instance] swaps the materialized one in at close. *)
   mutable n : int;  (* jobs known so far; grows in streaming sessions *)
   m : int;
-  mutable stride : int;
-      (* Row length of the per-(machine, job) matrices below — the job
-         capacity.  Equals [n] in batch runs; grows by doubling in
-         streaming sessions, with the heap comparators re-blessed onto
-         the reallocated columns ([Pqueue.Iheap.set_less]). *)
   mutable retire : bool;
       (* Rolling-retirement mode: completed/rejected work is folded into
          the accumulators only — no segment store, and the boxed [Job.t]
          handle is dropped — so memory stays bounded by the live set
          plus the flat columns.  [to_schedule] is unavailable. *)
   (* Job columns, indexed by job id (ids are 0..n-1); written once per
-     job ([of_instance] or [add_job]), read-only afterwards. *)
+     job ([of_instance] or [add_job]), read-only afterwards.  Their
+     length is the job capacity: [n] in batch runs, grown by doubling in
+     streaming sessions.  A per-(machine, job) fact — [p_ij] or the
+     density [w_j /. p_ij] — is read through the job's own [sizes] row,
+     the one copy of it there is. *)
   mutable jobs : Job.t array;  (* by id, not release order *)
   mutable release : float array;
   mutable weight : float array;
   mutable min_size : float array;
-  mutable size_col : float array;  (* p_ij at [(i * stride) + j] *)
-  mutable dens_col : float array;  (* w_j /. p_ij at [(i * stride) + j] *)
   (* Pending sets: five orders per machine over bare job ids, plus the
      incremental work/weight aggregates.  Only [by_spt] is observable as
-     a *layout* (through [pend_iter]); the four auxiliary orders expose
+     a *layout* (through [pend_into]); the four auxiliary orders expose
      nothing but their minimum, which each strict total order makes
      unique regardless of heap shape.  They are therefore maintained
      lazily: dormant until a policy first asks for their head, then
@@ -155,34 +152,38 @@ type t = {
 (* The strict orders of the five pending heaps.  Each mirrors the boxed
    driver's [Pqueue.Indexed] order exactly: the comparator's branches in
    the same sequence (primitive float [<]/[>], so [-0. = 0.] and
-   incomparable infinities fall through), then the id tie-break. *)
+   incomparable infinities fall through), then the id tie-break.  Sizes
+   come straight out of the job's [sizes] row (a field read, never a
+   cross-module call, so nothing boxes even without inlining); the
+   density is the same [w_j /. p_ij] expression the boxed key holds, so
+   every comparison answers as the boxed heap's does. *)
 
-let less_spt sz rel base a b =
-  let pa = sz.(base + a) and pb = sz.(base + b) in
+let less_spt (jobs : Job.t array) rel i a b =
+  let pa = jobs.(a).Job.sizes.(i) and pb = jobs.(b).Job.sizes.(i) in
   if pa < pb then true
   else if pa > pb then false
   else
     let ra = rel.(a) and rb = rel.(b) in
     if ra < rb then true else if ra > rb then false else a < b
 
-let less_spt_rev sz rel base a b =
-  let pa = sz.(base + a) and pb = sz.(base + b) in
+let less_spt_rev (jobs : Job.t array) rel i a b =
+  let pa = jobs.(a).Job.sizes.(i) and pb = jobs.(b).Job.sizes.(i) in
   if pa > pb then true
   else if pa < pb then false
   else
     let ra = rel.(a) and rb = rel.(b) in
     if ra > rb then true else if ra < rb then false else b < a
 
-let less_density dn rel base a b =
-  let da = dn.(base + a) and db = dn.(base + b) in
+let less_density (jobs : Job.t array) wt rel i a b =
+  let da = wt.(a) /. jobs.(a).Job.sizes.(i) and db = wt.(b) /. jobs.(b).Job.sizes.(i) in
   if da > db then true
   else if da < db then false
   else
     let ra = rel.(a) and rb = rel.(b) in
     if ra < rb then true else if ra > rb then false else a < b
 
-let less_size_id sz base a b =
-  let pa = sz.(base + a) and pb = sz.(base + b) in
+let less_size_id (jobs : Job.t array) i a b =
+  let pa = jobs.(a).Job.sizes.(i) and pb = jobs.(b).Job.sizes.(i) in
   if pa > pb then true else if pa < pb then false else b < a
 
 let less_fifo rel a b =
@@ -197,17 +198,16 @@ let less_fifo rel a b =
 let retired_job = Job.create ~id:0 ~release:0. ~sizes:[| 1. |] ()
 
 (* Point the five per-machine heap orders at the current column arrays.
-   Called at creation and again after every streaming column growth —
-   the comparators capture the arrays (and the machine's row base)
-   directly so the per-comparison path stays free of indirection. *)
+   Called again after every streaming column growth — the comparators
+   capture the arrays (and the machine index) directly so the
+   per-comparison path skips the state record. *)
 let rebless_heaps t =
-  let sz = t.size_col and dn = t.dens_col and rel = t.release in
+  let jobs = t.jobs and wt = t.weight and rel = t.release in
   for i = 0 to t.m - 1 do
-    let base = i * t.stride in
-    Pqueue.Iheap.set_less t.by_spt.(i) ~less:(less_spt sz rel base);
-    Pqueue.Iheap.set_less t.by_spt_rev.(i) ~less:(less_spt_rev sz rel base);
-    Pqueue.Iheap.set_less t.by_density.(i) ~less:(less_density dn rel base);
-    Pqueue.Iheap.set_less t.by_size_id.(i) ~less:(less_size_id sz base);
+    Pqueue.Iheap.set_less t.by_spt.(i) ~less:(less_spt jobs rel i);
+    Pqueue.Iheap.set_less t.by_spt_rev.(i) ~less:(less_spt_rev jobs rel i);
+    Pqueue.Iheap.set_less t.by_density.(i) ~less:(less_density jobs wt rel i);
+    Pqueue.Iheap.set_less t.by_size_id.(i) ~less:(less_size_id jobs i);
     Pqueue.Iheap.set_less t.by_fifo.(i) ~less:(less_fifo rel)
   done
 
@@ -231,35 +231,22 @@ let of_instance instance =
       weight.(id) <- j.Job.weight;
       min_size.(id) <- Job.min_size j)
     jobs;
-  let size_col = Array.make (max 1 (m * n)) 0. in
-  let dens_col = Array.make (max 1 (m * n)) 0. in
-  for i = 0 to m - 1 do
-    let base = i * n in
-    for id = 0 to n - 1 do
-      let p = Job.size jobs.(id) i in
-      size_col.(base + id) <- p;
-      dens_col.(base + id) <- weight.(id) /. p
-    done
-  done;
-  let heap mk = Array.init m (fun i -> Pqueue.Iheap.create ~less:(mk (i * n)) ()) in
+  let heap mk = Array.init m (fun i -> Pqueue.Iheap.create ~less:(mk i) ()) in
   let facc = Array.make facc_len 0. in
   facc.(f_total_weight) <- Instance.total_weight instance;
   {
     instance;
     n;
     m;
-    stride = n;
     retire = false;
     jobs;
     release;
     weight;
     min_size;
-    size_col;
-    dens_col;
-    by_spt = heap (fun base -> less_spt size_col release base);
-    by_spt_rev = heap (fun base -> less_spt_rev size_col release base);
-    by_density = heap (fun base -> less_density dens_col release base);
-    by_size_id = heap (fun base -> less_size_id size_col base);
+    by_spt = heap (less_spt jobs release);
+    by_spt_rev = heap (less_spt_rev jobs release);
+    by_density = heap (less_density jobs weight release);
+    by_size_id = heap (less_size_id jobs);
     by_fifo = Array.init m (fun _ -> Pqueue.Iheap.create ~less:(less_fifo release) ());
     live_spt_rev = false;
     live_density = false;
@@ -316,12 +303,11 @@ let of_stream ~machines =
   let instance = Instance.create ~name:"stream" ~machines:(Array.copy machines) ~jobs:[] () in
   of_instance instance
 
-(* Double the job capacity to cover [id].  The scalar columns blit; the
-   per-(machine, job) matrices re-lay row by row at the new stride; the
-   heap comparators — closed over the old arrays — are re-blessed onto
-   the new ones.  Cold: amortized O(1) per fed job. *)
+(* Double the job capacity to cover [id].  The columns blit; the heap
+   comparators — closed over the old arrays — are re-blessed onto the
+   new ones.  Cold: amortized O(1) per fed job. *)
 let grow_columns t id =
-  let cap = t.stride in
+  let cap = Array.length t.loc in
   if id >= cap then begin
     let ncap = max 16 (max (id + 1) (2 * cap)) in
     let grow_f a = let b = Array.make ncap 0. in Array.blit a 0 b 0 t.n; b in
@@ -341,15 +327,6 @@ let grow_columns t id =
     let nrun = Array.make ncap false in
     Array.blit t.out_running 0 nrun 0 t.n;
     t.out_running <- nrun;
-    let nsz = Array.make (max 1 (t.m * ncap)) 0. in
-    let ndn = Array.make (max 1 (t.m * ncap)) 0. in
-    for i = 0 to t.m - 1 do
-      Array.blit t.size_col (i * cap) nsz (i * ncap) t.n;
-      Array.blit t.dens_col (i * cap) ndn (i * ncap) t.n
-    done;
-    t.size_col <- nsz;
-    t.dens_col <- ndn;
-    t.stride <- ncap;
     rebless_heaps t
   end
 
@@ -381,11 +358,6 @@ let add_job t (j : Job.t) =
   t.release.(id) <- j.Job.release;
   t.weight.(id) <- j.Job.weight;
   t.min_size.(id) <- Job.min_size j;
-  for i = 0 to t.m - 1 do
-    let p = Job.size j i in
-    t.size_col.((i * t.stride) + id) <- p;
-    t.dens_col.((i * t.stride) + id) <- j.Job.weight /. p
-  done;
   if id >= t.n then t.n <- id + 1;
   t.loc.(id) <- loc_queued;
   t.facc.(f_total_weight) <- t.facc.(f_total_weight) +. j.Job.weight;
@@ -429,35 +401,9 @@ let[@rejlint.hot] job t id = t.jobs.(id)
 let[@rejlint.hot] release t id = t.release.(id)
 let[@rejlint.hot] weight t id = t.weight.(id)
 let[@rejlint.hot] min_size t id = t.min_size.(id)
-let[@rejlint.hot] size t ~machine ~job = t.size_col.((machine * t.stride) + job)
+let[@rejlint.hot] size t ~machine ~job = t.jobs.(job).Job.sizes.(machine)
 let[@rejlint.hot] eligible t ~machine ~job = Float.is_finite (size t ~machine ~job)
 
-(* Candidate-set provenance for the flight recorder: how many machines a
-   job is eligible for, and their bitmask (bit [k] for machine [k] up to
-   61; higher machines saturate into bit 62).  Accumulator recursion over
-   the size column, kept in this module on purpose: the compiler does
-   not inline calls inside recursive bodies, so a cross-module accessor
-   would box its float result on every probe, while the direct array
-   read here stays allocation-free.  [p -. p = 0.] is [Float.is_finite]
-   unfolded for the same reason. *)
-let[@rejlint.hot] rec cand_mask_from t job k acc =
-  if k >= t.m then acc
-  else begin
-    let p = t.size_col.((k * t.stride) + job) in
-    cand_mask_from t job (k + 1)
-      (if p -. p = 0. then acc lor (1 lsl (if k <= 61 then k else 62)) else acc)
-  end
-
-let[@rejlint.hot] rec cand_count_from t job k acc =
-  if k >= t.m then acc
-  else begin
-    let p = t.size_col.((k * t.stride) + job) in
-    cand_count_from t job (k + 1) (if p -. p = 0. then acc + 1 else acc)
-  end
-
-let[@rejlint.hot] cand_mask t ~job = cand_mask_from t job 0 0 [@@inline]
-let[@rejlint.hot] cand_count t ~job = cand_count_from t job 0 0 [@@inline]
-let[@rejlint.hot] density t ~machine ~job = t.dens_col.((machine * t.stride) + job)
 let[@rejlint.hot] total_weight t = t.facc.(f_total_weight)
 let[@rejlint.hot] alpha t i = (Instance.machine t.instance i).Machine.alpha
 let[@rejlint.hot] mach_speed t i = (Instance.machine t.instance i).Machine.speed
@@ -507,6 +453,22 @@ let[@rejlint.hot] pend_count t i = Pqueue.Iheap.size t.by_spt.(i)
 let[@rejlint.hot] pend_work t i = t.p_work.(i)
 let[@rejlint.hot] pend_weight t i = t.p_weight.(i)
 let[@rejlint.hot] pend_iter t i ~f = Pqueue.Iheap.iter t.by_spt.(i) ~f
+
+(* The pending set's job handles, copied into a caller-owned buffer in
+   the SPT heap's array order — the order [pend_iter] visits — so a
+   policy's float folds keep their operation order.  One array store per
+   job, no closure: the dispatch kernels' scan. *)
+let[@rejlint.hot] pend_into t i (buf : Job.t array) =
+  let h = t.by_spt.(i) in
+  let k = Pqueue.Iheap.size h in
+  if k > Array.length buf then
+    (invalid_arg
+       (Printf.sprintf "Flat_state.pend_into: %d pending jobs, buffer holds %d" k
+          (Array.length buf)) [@rejlint.cold]);
+  for s = 0 to k - 1 do
+    buf.(s) <- t.jobs.(Pqueue.Iheap.get h s)
+  done;
+  k
 let[@rejlint.hot] head_spt t i = Pqueue.Iheap.min_id t.by_spt.(i)
 
 (* First head lookup on a dormant order: fill its heaps from the current

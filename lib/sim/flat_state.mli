@@ -11,6 +11,12 @@
     the end), and the [Job.t] handles policies obtain through the
     driver's read-only view.
 
+    Per-(machine, job) facts — [p_ij] and the density [w_j /. p_ij] —
+    have no column of their own: every such read goes through the job's
+    [sizes] row, the one copy the instance already holds.  The heap
+    comparators, {!size} and {!eligible} all read it there, so state
+    size and setup cost carry no m x n term.
+
     {b Byte-identity contract.}  The flat core must produce schedules
     byte-identical to the boxed driver's (the differential suite runs
     both over the whole fuzz corpus).  Three disciplines make that hold,
@@ -20,7 +26,7 @@
       verbatim (float addition is not associative);
     - the pending heaps are {!Pqueue.Iheap}s — a line-for-line clone of
       {!Pqueue.Indexed}'s algorithm — driven by the same operation
-      sequence, so [pend_iter]'s heap-array order (which policies fold
+      sequence, so [pend_into]'s heap-array order (which policies fold
       floats over) coincides slot-for-slot;
     - events pop in the boxed driver's order: completion tags come from
       the same shared sequence counter (each fed arrival consumes one
@@ -36,18 +42,17 @@ open Sched_model
 type t
 
 val of_instance : Instance.t -> t
-(** Builds the flat mirror of the instance: job columns by id, size and
-    density columns per machine, empty pending/running/event state.
+(** Builds the flat mirror of the instance: job columns by id, empty
+    pending/running/event state.
     Raises [Invalid_argument] if the machine count exceeds the event-key
     range ({!Pqueue.Events.Key.max_machine}). *)
 
 (** {1 Streaming construction}
 
     A session-mode state starts from the machine fleet alone and learns
-    its jobs one {!add_job} at a time; the job columns (and the
-    per-(machine, job) matrices, whose stride is the job capacity) grow
-    by doubling, with the heap comparators re-blessed onto the
-    reallocated arrays ({!Pqueue.Iheap.set_less}).  Feeding every job of
+    its jobs one {!add_job} at a time; the job columns grow by doubling,
+    with the heap comparators re-blessed onto the reallocated arrays
+    ({!Pqueue.Iheap.set_less}).  Feeding every job of
     an instance in [jobs_by_release] order reproduces the batch run's
     event order — and therefore its schedule — byte for byte. *)
 
@@ -115,18 +120,14 @@ val job : t -> int -> Job.t
 val release : t -> int -> float
 val weight : t -> int -> float
 val min_size : t -> int -> float
+
 val size : t -> machine:int -> job:int -> float
+(** [p_ij], read from the job's [sizes] row.  Defined while the job is
+    live (queued, pending or running): rolling retirement drops a
+    settled job's handle. *)
+
 val eligible : t -> machine:int -> job:int -> bool
 
-val cand_mask : t -> job:int -> int
-(** Eligibility bitmask over machines — bit [k] for machine [k] up to
-    61, machines beyond that saturate into bit 62.  Flight-recorder
-    dispatch provenance; allocation-free. *)
-
-val cand_count : t -> job:int -> int
-(** Number of machines the job is eligible for.  Allocation-free. *)
-
-val density : t -> machine:int -> job:int -> float
 val total_weight : t -> float
 val alpha : t -> int -> float
 val mach_speed : t -> int -> float
@@ -160,7 +161,13 @@ val pend_weight : t -> int -> float
 
 val pend_iter : t -> int -> f:(int -> unit) -> unit
 (** Heap-array order of the SPT heap — slot-for-slot the order the boxed
-    driver's [pending_iter] exposes. *)
+    driver's SPT heap iterates in. *)
+
+val pend_into : t -> int -> Job.t array -> int
+(** [pend_into t i buf] copies the job handles pending on [i] into
+    [buf.(0)] .. [buf.(k-1)] in {!pend_iter}'s order and returns [k].
+    Allocation-free.  Raises [Invalid_argument] when [buf] is shorter
+    than {!pend_count}. *)
 
 val head_spt : t -> int -> int
 (** Head job id of the given order, [-1] when the queue is empty. *)

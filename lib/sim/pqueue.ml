@@ -378,7 +378,7 @@ module Iheap = struct
 
      The algorithm is a line-for-line clone of [Indexed]'s (append +
      sift-up on add; move-last + sift-up + sift-down on remove).  That is
-     deliberate, not incidental: [Driver.pending_iter] exposes heap-array
+     deliberate, not incidental: [Driver.pending_into] exposes heap-array
      order to policies, and some of them fold floats over it, so the flat
      core must reproduce [Indexed]'s slot layout exactly — same algorithm,
      same operation history, same strict order — for schedules to stay

@@ -141,7 +141,7 @@ end
     ties on the id itself).
 
     The algorithm is a line-for-line clone of {!Indexed}'s.  That is
-    load-bearing: [Driver.pending_iter] exposes heap-array order to
+    load-bearing: [Driver.pending_into] exposes heap-array order to
     policies, some of which fold floats over it, so the flat core must
     reproduce {!Indexed}'s slot layout exactly for schedules to stay
     byte-identical. *)

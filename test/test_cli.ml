@@ -335,6 +335,17 @@ let test_domains_negative_rejected () =
     (Test_util.contains (read_file err) "--domains");
   Sys.remove err
 
+(* A single run is one sequential event loop that never touches the
+   pool, so [run] takes no --domains: passing it is cmdliner's
+   unknown-option usage error (exit 124), not a silently ignored flag. *)
+let test_run_domains_unknown () =
+  let err = temp ".txt" in
+  let code = shell (Printf.sprintf "%s run -n 20 -m 2 --domains 2 > /dev/null 2> %s" exe err) in
+  Alcotest.(check int) "exit code" 124 code;
+  Alcotest.(check bool) "unknown option on stderr" true
+    (Test_util.contains (read_file err) "unknown option");
+  Sys.remove err
+
 let suite =
   [
     Alcotest.test_case "unknown policy exits 2" `Quick test_unknown_policy_exits_2;
@@ -357,4 +368,5 @@ let suite =
       test_serve_corrupt_snapshot_rejected;
     Alcotest.test_case "serve malformed arrival exits 1" `Quick
       test_serve_malformed_arrival_rejected;
+    Alcotest.test_case "run --domains is an unknown option" `Quick test_run_domains_unknown;
   ]

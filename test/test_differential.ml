@@ -20,20 +20,22 @@ let instances =
       Test_util.random_instance ~weighted:(k mod 2 = 1) ~restricted:(k mod 3 = 0)
         ~seed:(1000 + k) ~n ~m ())
 
+let check_against_reference (e : PR.entry) ref_run insts =
+  List.iter
+    (fun inst ->
+      let opt = Serialize.schedule_to_string (e.run inst) in
+      let refd = Serialize.schedule_to_string (ref_run inst) in
+      if opt <> refd then
+        Alcotest.failf "policy %s diverges from its seed reference on %s" e.name
+          inst.Instance.name)
+    insts
+
 let test_schedules_match_reference () =
   List.iter
     (fun (e : PR.entry) ->
       match e.reference with
       | None -> ()
-      | Some ref_run ->
-          List.iter
-            (fun inst ->
-              let opt = Serialize.schedule_to_string (e.run inst) in
-              let refd = Serialize.schedule_to_string (ref_run inst) in
-              if opt <> refd then
-                Alcotest.failf "policy %s diverges from its seed reference on %s" e.name
-                  inst.Instance.name)
-            instances)
+      | Some ref_run -> check_against_reference e ref_run instances)
     PR.all
 
 let check_float what name ~expected ~actual =
@@ -97,9 +99,23 @@ let check_accessors view i =
   let pend = Driver.pending view i in
   let count = List.length pend in
   if Driver.pending_count view i <> count then Alcotest.failf "pending_count mismatch";
-  let iterated = ref [] in
-  Driver.pending_iter view i (fun j -> iterated := j :: !iterated);
-  if List.rev !iterated <> pend then Alcotest.failf "pending_iter disagrees with pending";
+  (match pend with
+  | [] -> ()
+  | first :: _ ->
+      (* A buffer with slack: the copy must fill exactly the first [count]
+         slots, in [pending]'s order, and leave the rest alone. *)
+      let buf = Array.make (count + 2) first in
+      let k = Driver.pending_into view i buf in
+      if k <> count then Alcotest.failf "pending_into returned %d, pending has %d" k count;
+      if not (List.for_all2 ( == ) (Array.to_list (Array.sub buf 0 k)) pend) then
+        Alcotest.failf "pending_into disagrees with pending";
+      if not (buf.(count) == first && buf.(count + 1) == first) then
+        Alcotest.failf "pending_into wrote past its count";
+      (* Too short a buffer is the caller's bug, reported, never a silent
+         truncation. *)
+      match Driver.pending_into view i (Array.make (count - 1) first) with
+      | _ -> Alcotest.failf "pending_into accepted a %d-slot buffer for %d jobs" (count - 1) count
+      | exception Invalid_argument _ -> ());
   let work = List.fold_left (fun acc (l : Job.t) -> acc +. Job.size l i) 0. pend in
   if Driver.pending_work view i <> work then
     Alcotest.failf "pending_work %.17g <> scan %.17g" (Driver.pending_work view i) work;
@@ -154,8 +170,43 @@ let probe_policy =
 
 let test_accessors_agree_with_scans () =
   List.iteri
-    (fun k inst -> if k mod 5 = 0 then ignore (Driver.run_schedule probe_policy inst))
+    (fun k inst ->
+      if k mod 5 = 0 then
+        List.iter
+          (fun impl -> ignore (Driver.run_schedule ~impl probe_policy inst))
+          [ Driver.Flat; Driver.Boxed ])
     instances
+
+(* Tie-heavy instances: every machine holds the same size row and the
+   fleet is uniform, so each arrival's costs tie across all machines that
+   share a queue state, and the argmin's tie-break (first minimum in
+   ascending machine order) decides every dispatch.  Releases sit on a
+   coarse grid so many jobs arrive together. *)
+let tie_instances =
+  List.init 24 (fun k ->
+      let rng = Sched_stats.Rng.create (7000 + k) in
+      let m = [| 2; 3; 4; 8 |].(k mod 4) and n = 10 + (k mod 6 * 6) in
+      let jobs =
+        List.init n (fun id ->
+            let p = 0.25 *. float_of_int (1 + Sched_stats.Rng.int rng 8) in
+            let release = 0.5 *. float_of_int (Sched_stats.Rng.int rng (max 1 (n / 4))) in
+            let weight = if k mod 2 = 1 then 0.25 *. float_of_int (1 + Sched_stats.Rng.int rng 8) else 1. in
+            Job.create ~id ~release ~weight ~sizes:(Array.make m p) ())
+      in
+      Instance.create ~name:(Printf.sprintf "ties-n%d-m%d-s%d" n m k)
+        ~machines:(Machine.fleet m) ~jobs ())
+
+(* The argmin kernels against their seed scans where every decision is a
+   tie: canonical schedules must be byte-equal. *)
+let test_tie_heavy_kernels_match_reference () =
+  List.iter
+    (fun name ->
+      match PR.find name with
+      | Some ({ PR.reference = Some ref_run; _ } as e) ->
+          check_against_reference e ref_run tie_instances
+      | _ -> Alcotest.failf "no registry policy %s with a seed reference" name)
+    [ "flow-reject"; "flow-reject-greedy"; "flow-reject-weighted"; "flow-energy-reject";
+      "greedy-fifo"; "greedy-spt" ]
 
 let suite =
   [
@@ -164,4 +215,6 @@ let suite =
     Alcotest.test_case "live metrics == post-hoc recompute" `Quick
       test_live_metrics_match_recompute;
     Alcotest.test_case "view accessors == pending scans" `Quick test_accessors_agree_with_scans;
+    Alcotest.test_case "tie-heavy argmin kernels == seed reference" `Quick
+      test_tie_heavy_kernels_match_reference;
   ]

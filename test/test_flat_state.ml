@@ -13,6 +13,16 @@ let qtest t = QCheck_alcotest.to_alcotest t
 
 (* --- of_instance / accessor round-trip ---------------------------------- *)
 
+(* The boxed driver's density order (its [cmp_density]): weight/p_ij
+   descending, ties by release; the heap breaks what is left on the id. *)
+let boxed_density_cmp i (a : Job.t) (b : Job.t) =
+  let da = a.Job.weight /. Job.size a i and db = b.Job.weight /. Job.size b i in
+  if da > db then -1
+  else if da < db then 1
+  else if a.Job.release < b.Job.release then -1
+  else if a.Job.release > b.Job.release then 1
+  else 0
+
 let random_instance_of seed =
   let weighted = seed land 1 = 1 and restricted = seed mod 3 = 0 in
   Test_util.random_instance ~weighted ~restricted ~seed ~n:(5 + (seed mod 40))
@@ -38,9 +48,7 @@ let prop_of_instance_round_trip =
           for i = 0 to m - 1 do
             let p = Job.size j i in
             assert (Float.equal (Flat_state.size fs ~machine:i ~job:id) p);
-            assert (Flat_state.eligible fs ~machine:i ~job:id = Job.eligible j i);
-            assert (
-              Float.equal (Flat_state.density fs ~machine:i ~job:id) (j.Job.weight /. p))
+            assert (Flat_state.eligible fs ~machine:i ~job:id = Job.eligible j i)
           done;
           (* Before any event, every job is unreleased. *)
           assert (Flat_state.loc fs id = Flat_state.loc_unreleased))
@@ -49,6 +57,29 @@ let prop_of_instance_round_trip =
         let mc = Instance.machine instance i in
         assert (Float.equal (Flat_state.mach_speed fs i) mc.Machine.speed);
         assert (Float.equal (Flat_state.alpha fs i) mc.Machine.alpha)
+      done;
+      (* The density order reads w_j /. p_ij off the job row: queue every
+         eligible job on each machine, then drain by head, and the flat
+         density heap must name the boxed [by_density] heap's head every
+         time. *)
+      for i = 0 to m - 1 do
+        let boxed = Pqueue.Indexed.create ~cmp:(boxed_density_cmp i) () in
+        Array.iter
+          (fun (j : Job.t) ->
+            if Job.eligible j i then begin
+              Flat_state.pend_add fs i j.Job.id;
+              Pqueue.Indexed.add boxed ~id:j.Job.id ~key:j ()
+            end)
+          (Instance.jobs_by_release instance);
+        while not (Pqueue.Indexed.is_empty boxed) do
+          let head =
+            match Pqueue.Indexed.min_elt boxed with Some (id, _, ()) -> id | None -> -1
+          in
+          assert (Flat_state.head_density fs i = head);
+          assert (Flat_state.pend_remove fs i head);
+          ignore (Pqueue.Indexed.remove boxed ~id:head)
+        done;
+        assert (Flat_state.head_density fs i = -1)
       done;
       Flat_state.invariant fs)
 
@@ -304,7 +335,7 @@ let test_retire_cursor_bounded () =
 
 (* --- Iheap reproduces Indexed's slot layout exactly ---------------------- *)
 
-(* The driver exposes heap-array order to policies (pending_iter), so the
+(* The driver exposes heap-array order to policies (pending_into), so the
    flat heap must not merely agree on the minimum: after any operation
    sequence the two heap arrays must match slot for slot. *)
 (* Named comparators (RJL002 trusts audited named functions, and the

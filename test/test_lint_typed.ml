@@ -176,7 +176,7 @@ let test_hot_annotations_guarded () =
   List.iter
     (fun name ->
       Alcotest.(check bool) ("driver hot: " ^ name) true (List.mem name driver_hot))
-    [ "loop"; "try_start"; "reject_job"; "restart_job"; "cand_mask_boxed"; "cand_count_boxed";
+    [ "loop"; "try_start"; "reject_job"; "restart_job"; "cand_mask"; "cand_count";
       "popcount";
       (* The flat core's per-event commit handlers. *)
       "commit_arrival"; "commit_finish" ];
@@ -191,10 +191,31 @@ let test_hot_annotations_guarded () =
       (* The merged pop over the arrival cursor and the completion heap. *)
       "next_event_before"; "push_finish"; "ev_is_arrival"; "ev_payload";
       "account_completion"; "account_rejection"; "outcome_completed"; "outcome_rejected";
-      (* The flight recorder's dispatch-provenance scans: same-module reads
-         so the release build boxes nothing. *)
-      "cand_mask"; "cand_count"; "cand_mask_from"; "cand_count_from" ];
+      (* The dispatch kernels' closure-free pending scan. *)
+      "pend_into" ];
   Alcotest.(check bool) "flat_state hot coverage >= 25" true (List.length flat_hot >= 25);
+  (* The registry policies' dispatch kernels: each argmin over machines
+     and the per-machine cost it calls, so a closure, tuple, ref cell or
+     boxed return creeping back into dispatch fails the static proof. *)
+  List.iter
+    (fun (cmt_file, names) ->
+      let hot = RL.Typed_lint.hot_functions_of_cmt (cmt cmt_file) in
+      List.iter
+        (fun name ->
+          Alcotest.(check bool)
+            (Filename.basename cmt_file ^ " hot: " ^ name)
+            true (List.mem name hot))
+        names)
+    [
+      ( "lib/core/.rejection.objs/byte/rejection__Flow_reject.cmt",
+        [ "lambda_ij"; "argmin_lambda"; "argmin_load" ] );
+      ( "lib/core/.rejection.objs/byte/rejection__Flow_reject_weighted.cmt",
+        [ "lambda_ij"; "argmin_lambda" ] );
+      ( "lib/core/.rejection.objs/byte/rejection__Flow_energy_reject.cmt",
+        [ "lambda_ij"; "argmin_lambda"; "merge"; "merge_pass"; "sort_runs"; "slot_of" ] );
+      ( "lib/baselines/.sched_baselines.objs/byte/sched_baselines__Greedy_dispatch.cmt",
+        [ "argmin_completion" ] );
+    ];
   (* The recorder's whole write path must stay inside the static proof:
      un-annotating any of these drops RJL103 coverage exactly where an
      allocation would silently re-inflate the words-per-event floor. *)

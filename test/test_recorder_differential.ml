@@ -67,10 +67,48 @@ let test_wrapping_ring_identical () =
   Alcotest.(check string) "wrapped tails byte-identical"
     (TE.recorder_to_ndjson rc_boxed) (TE.recorder_to_ndjson rc_flat)
 
+(* Rolling retirement drops a settled job's handle, and with it the only
+   copy of its sizes, so every size the driver records must be read while
+   the job is live.  A retire-mode session with a recorder and a trace
+   attached must record exactly what the batch run records, on fleets
+   where pending jobs are rejected off machine 0 (Rule 2 victims). *)
+let test_retire_session_records_like_batch () =
+  let trace_lines tr = String.concat "" (List.map Trace_export.entry_line (Trace.events tr)) in
+  let check (type a) ~what ~seed (policy : a Driver.policy) =
+    let inst = Test_util.random_instance ~weighted:true ~seed ~n:80 ~m:3 () in
+    let rc_batch = Rec.create ~capacity:4096 () and tr_batch = Trace.create () in
+    ignore (Driver.run_schedule ~recorder:rc_batch ~trace:tr_batch ~impl:Driver.Flat policy inst);
+    let rc = Rec.create ~capacity:4096 () and tr = Trace.create () in
+    let s =
+      Driver.Session.open_session ~recorder:rc ~trace:tr ~retire:true
+        ~machines:inst.Instance.machines policy
+    in
+    Array.iter (Driver.Session.feed s) (Instance.jobs_by_release inst);
+    ignore (Driver.Session.close s);
+    let rejected_pending_off_0 =
+      List.exists
+        (fun (en : Trace.entry) ->
+          match en.Trace.event with
+          | Trace.Reject { was_running = false; machine; _ } -> machine > 0
+          | _ -> false)
+        (Trace.events tr_batch)
+    in
+    Alcotest.(check bool) (what ^ ": a pending job rejected off machine 0") true
+      rejected_pending_off_0;
+    Alcotest.(check string) (what ^ ": recorder") (TE.recorder_to_ndjson rc_batch)
+      (TE.recorder_to_ndjson rc);
+    Alcotest.(check string) (what ^ ": trace") (trace_lines tr_batch) (trace_lines tr)
+  in
+  check ~what:"flow-reject" ~seed:31 Rejection.Flow_reject.(policy (config ~eps:0.3 ()));
+  check ~what:"flow-reject-weighted" ~seed:32
+    Rejection.Flow_reject_weighted.(policy (config ~eps:0.3 ()))
+
 let suite =
   [
     Alcotest.test_case "corpus x policies x cores, recorder on/off" `Quick
       test_corpus_all_policies;
     Alcotest.test_case "wrapping ring identical across cores" `Quick
       test_wrapping_ring_identical;
+    Alcotest.test_case "retire-mode session records like the batch run" `Quick
+      test_retire_session_records_like_batch;
   ]
